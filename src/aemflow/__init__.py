@@ -14,6 +14,7 @@ from .errors import (
     AemflowError,
     BudgetExceeded,
     Infeasible,
+    InternalError,
     ParseError,
     UnsupportedDeviation,
     ValidationError,
@@ -63,6 +64,7 @@ __all__ = [
     "HomologousSet",
     "Infeasible",
     "Instance",
+    "InternalError",
     "ParseError",
     "PolyValue",
     "SetCrossing",

@@ -5,7 +5,8 @@ deterministic: records are emitted in sorted id order and rationals print
 as `p/q`, so identical inputs (and seeds) give byte-identical bytes.
 
 Exit codes: 0 success, 1 verification found violations, 2 usage or input
-errors, 3 infeasible, 4 budget exceeded or unsupported deviation class.
+errors, 3 infeasible, 4 budget exceeded or unsupported deviation class,
+5 internal error (a broken solver invariant).
 Failures print one machine-readable line `error <Kind>: <message>` on
 stderr.
 """
@@ -22,6 +23,7 @@ from .concave import solve_concave_single
 from .errors import (
     BudgetExceeded,
     Infeasible,
+    InternalError,
     ParseError,
     UnsupportedDeviation,
     ValidationError,
@@ -311,6 +313,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (BudgetExceeded, UnsupportedDeviation) as exc:
         print(f"error {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
+    except InternalError as exc:
+        print(f"error InternalError: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

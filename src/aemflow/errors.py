@@ -50,3 +50,16 @@ class ParseError(AemflowError):
 
 class ValidationError(AemflowError):
     """A structurally well-formed input violates a model invariant."""
+
+
+class InternalError(AemflowError):
+    """A solver invariant failed: a defect in aemflow, not in the input."""
+
+
+def require(condition: object, message: str) -> None:
+    """Raise InternalError with ``message`` unless ``condition`` holds.
+
+    Unlike ``assert``, the check survives ``python -O``.
+    """
+    if not condition:
+        raise InternalError(message)

@@ -14,16 +14,24 @@ the value pinned and the earlier parameters fixed.  The flow and the cut
 certificate are then recomputed exactly at that vector by the flow
 machinery, which re-checks value against certificate.
 
-The backend is a dense two-phase simplex on exact rationals with Bland's
-rule, deterministic and cycle-free.  Programs here stay small, tens of
-variables, so a textbook tableau is plenty.
+The backend is a two-phase tableau simplex on exact rationals with
+Bland's rule, deterministic and cycle-free.  The tableau is mostly zeros
+(a few percent nonzero on the gadget and random programs), so a pivot
+divides only the nonzero entries of the pivot row and eliminates only in
+rows whose pivot-column entry is nonzero, touching just those columns.
+Each phase prices its reduced-cost row once and carries it below the
+basic rows, where every pivot updates it like any other row, instead of
+re-pricing it from the basis on every iteration.  Rows stay dense Python
+lists, so the ratio test reads a column in place.  Integral entries, the
+great majority on these flow programs, are held as ints and the rest as
+Fractions; every division goes through Fraction, so no float arises.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import UnsupportedDeviation
+from .errors import UnsupportedDeviation, require
 from .graph import FlowAssignment
 from .instance import FEvaluator, Instance, SolveResult
 
@@ -33,35 +41,56 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _exact(v):
+    """``v`` as an int when it is integral; int arithmetic is far cheaper."""
+    return v if type(v) is int or v.denominator != 1 else v.numerator
+
+
 def _pivot(tab, basis, prow, pcol):
-    piv = tab[prow][pcol]
-    row = tab[prow] = [v / piv for v in tab[prow]]
+    """Pivot on (prow, pcol), touching only the pivot row's nonzero columns.
+
+    Every row of ``tab`` is eliminated, including the reduced-cost row
+    that ``_optimize`` keeps below the basic rows.
+    """
+    row = tab[prow]
+    piv = row[pcol]
+    nz = [j for j, v in enumerate(row) if v]
+    if piv != 1:
+        for j in nz:
+            row[j] = _exact(Fraction(row[j]) / piv)
     for i, r in enumerate(tab):
-        if i != prow and r[pcol]:
-            f = r[pcol]
-            tab[i] = [a - f * b for a, b in zip(r, row)]
+        f = r[pcol]
+        if f and i != prow:
+            for j in nz:
+                r[j] = _exact(r[j] - f * row[j])
     basis[prow] = pcol
 
 
 def _optimize(tab, basis, cost, ncols):
-    """Run Bland-rule pivots to optimality; False means unbounded."""
+    """Run Bland-rule pivots to optimality; False means unbounded.
+
+    The reduced-cost row is priced once and appended to ``tab`` for the
+    duration, so each pivot updates it instead of a full re-pricing.
+    """
+    red = [_exact(v) for v in cost] + [0]
+    for row, bi in zip(tab, basis):
+        cb = cost[bi]
+        if cb:
+            for j, v in enumerate(row):
+                if v:
+                    red[j] = _exact(red[j] - cb * v)
+    rows = len(basis)
+    tab.append(red)
     while True:
-        red = list(cost)
-        for i, bi in enumerate(basis):
-            cb = cost[bi]
-            if cb:
-                row = tab[i]
-                for j in range(ncols):
-                    if row[j]:
-                        red[j] -= cb * row[j]
         enter = next((j for j in range(ncols) if red[j] < 0), -1)
         if enter == -1:
-            return True
+            break
         leave, best = -1, None
-        for i, row in enumerate(tab):
+        for i in range(rows):
+            row = tab[i]
             a = row[enter]
             if a > 0:
-                ratio = row[-1] / a
+                ratio = Fraction(row[-1]) / a
                 if (
                     best is None
                     or ratio < best
@@ -69,8 +98,10 @@ def _optimize(tab, basis, cost, ncols):
                 ):
                     best, leave = ratio, i
         if leave == -1:
-            return False
+            break
         _pivot(tab, basis, leave, enter)
+    tab.pop()
+    return enter == -1
 
 
 def _simplex_min(c, A, b):
@@ -80,12 +111,12 @@ def _simplex_min(c, A, b):
     base = n + m
     tab, basis, art = [], [], 0
     for i in range(m):
-        row = list(A[i]) + [_ZERO] * (m + nart) + [b[i]]
-        row[n + i] = _ONE
+        row = [_exact(v) for v in A[i]] + [0] * (m + nart) + [_exact(b[i])]
+        row[n + i] = 1
         if b[i] < 0:
             row = [-v for v in row]
             col = base + art
-            row[col] = _ONE
+            row[col] = 1
             art += 1
             basis.append(col)
         else:
@@ -93,9 +124,9 @@ def _simplex_min(c, A, b):
         tab.append(row)
 
     if nart:
-        cost1 = [_ZERO] * base + [_ONE] * nart
+        cost1 = [0] * base + [1] * nart
         ok = _optimize(tab, basis, cost1, base + nart)
-        assert ok, "phase one is bounded below by zero"
+        require(ok, "phase one is bounded below by zero")
         if sum(tab[i][-1] for i, bi in enumerate(basis) if bi >= base):
             return None
         for i, bi in enumerate(basis):
@@ -109,11 +140,11 @@ def _simplex_min(c, A, b):
 
     cost2 = list(c) + [_ZERO] * m
     ok = _optimize(tab, basis, cost2, base)
-    assert ok, "flow programs are bounded by their capacities"
+    require(ok, "flow programs are bounded by their capacities")
     x = [_ZERO] * n
     for i, bi in enumerate(basis):
         if bi < n:
-            x[bi] = tab[i][-1]
+            x[bi] = Fraction(tab[i][-1])
     return x
 
 
@@ -205,7 +236,7 @@ def solve_lp_constant(inst: Instance) -> SolveResult:
 
     goal = [-c for c in prog.value_row]
     xs = prog.solve(goal)
-    assert xs is not None, "the all-zero vector is always feasible"
+    require(xs is not None, "the all-zero vector is always feasible")
     value = sum(c * x for c, x in zip(prog.value_row, xs))
     value_pin = ((goal, -value),)
 
@@ -214,14 +245,14 @@ def solve_lp_constant(inst: Instance) -> SolveResult:
         obj = [_ZERO] * prog.nvar
         obj[m + i] = _ONE
         xs = prog.solve(obj, extra=value_pin, pins=pins)
-        assert xs is not None, "value pin cannot cut off the optimum"
+        require(xs is not None, "value pin cannot cut off the optimum")
         pins.append((m + i, xs[m + i]))
 
     lam = tuple(val for _, val in pins)
     ev = FEvaluator(inst)
     s = ev.sample(lam)
-    assert s.feasible
-    assert s.value == value, "flow recomputation must match the program"
+    require(s.feasible, "the canonical parameter vector must be feasible")
+    require(s.value == value, "flow recomputation must match the program")
     return SolveResult(lam, s.value, FlowAssignment(s.flows, s.value), s.report)
 
 

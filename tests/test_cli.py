@@ -9,6 +9,7 @@ from fractions import Fraction as Q
 import pytest
 
 import aemflow as af
+from aemflow import lp
 from aemflow.cli import main
 
 PARALLEL = "p aemfp 2 2 1\nn 0 s\nn 1 t\na 0 0 1 4\na 1 0 1 5\nh 0 const 1 0 1\n"
@@ -119,6 +120,16 @@ class TestExitCodes:
         )
         assert rc == 4
         assert err.startswith("error BudgetExceeded")
+
+    def test_internal_error_is_5(self, capsys, files, monkeypatch):
+        write, _ = files
+        inst, _ = af.generate_x3c_gadget(af.x3c_yes_instance(3))
+        path = write("g.aemfp", af.write_instance(inst))
+        monkeypatch.setattr(lp, "_simplex_min", lambda c, A, b: None)
+        rc, out, err = run(capsys, "solve", path)
+        assert rc == 5
+        assert out == ""
+        assert err == "error InternalError: the all-zero vector is always feasible\n"
 
 
 class TestVerify:

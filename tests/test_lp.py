@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aemflow import lp
 from aemflow.errors import UnsupportedDeviation
+from aemflow.gadgets import generate_x3c_gadget, x3c_yes_instance
 from aemflow.graph import Graph
 from aemflow.instance import FEvaluator, make_instance
-from aemflow.ksets import solve_k_constant
+from aemflow.ksets import solve_integer_constant, solve_k_constant
 from aemflow.lp import feasible_completion, solve_lp_constant
 from aemflow.values import DeviationFn
 
@@ -154,3 +156,53 @@ class TestCrossSolver:
         assert a.lambda_star == b.lambda_star
         a.verify(inst)
         b.verify(inst)
+
+
+@pytest.fixture
+def pivots(monkeypatch):
+    """Count lp._pivot calls; every pivot of the simplex goes through it."""
+    calls = []
+    inner = lp._pivot
+
+    def counting(tab, basis, prow, pcol):
+        calls.append((prow, pcol))
+        inner(tab, basis, prow, pcol)
+
+    monkeypatch.setattr(lp, "_pivot", counting)
+    return calls
+
+
+class TestPivotPath:
+    """The simplex takes a fixed pivot sequence on the X3C yes gadgets.
+
+    The counts are pinned, so a change to Bland's rule, the ratio-test
+    tie-break or the row encoding shows up here, not only as a change in
+    speed.
+    """
+
+    @pytest.mark.parametrize("q, count, value", [(3, 167, 7), (6, 530, 14)])
+    def test_gadget_pivot_count(self, pivots, q, count, value):
+        inst, meta = generate_x3c_gadget(x3c_yes_instance(q))
+        res = solve_integer_constant(inst)
+        assert len(pivots) == count
+        assert res.opt_value == value == meta.expected_yes_value
+        res.verify(inst)
+
+    def test_two_phase_optimum(self):
+        # Maximize x0 + 2 x1 subject to x0 + x1 <= 4, x1 <= 3, -x0 <= -1:
+        # phase one leaves the artificial, phase two prices from there.
+        neg = [Q(-1), Q(-2)]
+        A = [[Q(1), Q(1)], [Q(0), Q(1)], [Q(-1), Q(0)]]
+        b = [Q(4), Q(3), Q(-1)]
+        xs = lp._simplex_min(neg, A, b)
+        assert xs == [Q(1), Q(3)]
+        assert all(type(x) is Q for x in xs)
+
+    def test_fractional_vertex_stays_exact(self):
+        # Maximize x0 + x1 subject to 3 x0 + x1 <= 2, x0 + 3 x1 <= 2: the
+        # pivots divide by 3 and 8/3, and the vertex is (1/2, 1/2).
+        neg = [Q(-1), Q(-1)]
+        A = [[Q(3), Q(1)], [Q(1), Q(3)]]
+        xs = lp._simplex_min(neg, A, [Q(2), Q(2)])
+        assert xs == [Q(1, 2), Q(1, 2)]
+        assert all(type(x) is Q for x in xs)
