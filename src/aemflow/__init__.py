@@ -36,16 +36,15 @@ from .instance import (
     HomologousSet,
     Instance,
     SolveResult,
-    build_G_lambda,
     evaluate_F,
     make_instance,
 )
-from .ksets import simplest_rational_in, solve_integer_constant, solve_k_constant
+from .ksets import solve_integer_constant, solve_k_constant
 from .oracles import oracle_concave_single, oracle_fractional, oracle_integer
 from .parametric import solve_simple_constant
 from .profile import BreakpointProfile, breakpoint_profile
 from .randgen import generate_random
-from .values import DeviationFn, PolyValue
+from .values import DeviationFn, PolyValue, simplest_rational_in
 
 __version__ = "0.1.0"
 
@@ -73,7 +72,6 @@ __all__ = [
     "ValidationError",
     "X3CInstance",
     "breakpoint_profile",
-    "build_G_lambda",
     "evaluate_F",
     "generate_approx_gadget",
     "generate_convex_gadget",

@@ -10,16 +10,18 @@ quantity the augmenting-path engine touches is a polynomial in lam of the
 deviation's degree, and every branch the engine takes is the sign of such
 a polynomial at the unknown maximizer.
 
-Signs resolve by isolating the polynomial's roots and locating the
-maximizer relative to them through concrete F evaluations.  Two
-evaluations with different values place every maximizer strictly on one
-side (falling chords of a concave curve); equal values pin a flat top
-whose left end bounds the smallest maximizer.  When neither applies the
-run forks at the blocking root and both presumptions are explored depth
-first, so a wrong presumption costs a redundant run but never an
-incorrect answer: a completed run's value polynomial is trusted only on
-its final interval, and every reported candidate is re-evaluated
-concretely.
+The symbolic run is :func:`~aemflow.parametric.symbolic_max_flow`, the
+one the slice solver uses.  Signs resolve by isolating the
+polynomial's roots and locating the smallest maximizer relative to them
+through concrete F evaluations.  Two evaluations with different values
+place every maximizer strictly on the higher one's side (falling chords
+of a concave curve); an evaluation at y < x that equals F(x) puts the
+smallest maximizer below x, while an equal value to the right of x says
+nothing about x.  When neither applies the run forks at the blocking root
+and both presumptions are explored depth first, so a wrong presumption
+costs a redundant run but never an incorrect answer: a completed run's
+value polynomial is trusted only on its final interval, and every
+reported candidate is re-evaluated concretely.
 
 Rational comparison thresholds keep the search exact.  Irrational ones
 (possible from degree two up) are isolated to width u_R * 2**-64 and
@@ -31,14 +33,12 @@ off by at most the bracket width otherwise.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
 
-from .errors import UnsupportedDeviation, ValidationError
+from .errors import InternalError, UnsupportedDeviation, ValidationError, require
 from .graph import FlowAssignment
 from .instance import FEvaluator, Instance, SolveResult
-from .ksets import simplest_rational_in
-from .parametric import _PinnedAt, _SymNet
-from .values import Order, PolyValue, poly_roots
+from .parametric import _PinnedAt, symbolic_max_flow
+from .values import Order, PolyValue, poly_roots, simplest_rational_in
 
 __all__ = ["solve_concave_single"]
 
@@ -58,7 +58,7 @@ def _feasible_edge(val, top: Fraction, tol: Fraction) -> Fraction:
     if val(top) is not None:
         return top
     lo, hi = _ZERO, top
-    assert val(lo) is not None, "the zero parameter must be feasible"
+    require(val(lo) is not None, "the zero parameter must be feasible")
     while hi - lo > tol:
         w = hi - lo
         mid = simplest_rational_in(lo + w / 3, hi - w / 3)
@@ -70,56 +70,6 @@ def _feasible_edge(val, top: Fraction, tol: Fraction) -> Fraction:
     if snap != lo and val(snap) is not None:
         lo = snap
     return lo
-
-
-def _run(
-    inst: Instance,
-    box: list[Fraction],
-    lower: list[PolyValue],
-    upper: list[PolyValue],
-    sign_of: Callable[[PolyValue], Order],
-) -> PolyValue:
-    """Value polynomial of F on the current box, by symbolic augmentation."""
-    zero = PolyValue.constant(0)
-
-    def cmp(a: PolyValue, b: PolyValue) -> Order:
-        d = a - b
-        if d.is_zero():
-            return Order.EQUAL
-        if d.degree == 0:
-            return Order.GREATER if d.coeffs[0] > 0 else Order.LESS
-        return sign_of(d)
-
-    g = inst.graph
-    n = inst.n
-    sigma, tau_node = n, n + 1
-    net = _SymNet(n + 2, zero, cmp)
-    for e in g.edges:
-        net.add(e.tail, e.head, upper[e.id] - lower[e.id])
-    excess = [zero] * n
-    for e in g.edges:
-        excess[e.head] = excess[e.head] + lower[e.id]
-        excess[e.tail] = excess[e.tail] - lower[e.id]
-    big = PolyValue.constant(sum(inst.capacities) + 1)
-    ts = net.add(g.sink, g.source, big)
-    helpers = [ts]
-    required = zero
-    for v in range(n):
-        sign = cmp(excess[v], zero)
-        if sign is Order.GREATER:
-            helpers.append(net.add(sigma, v, excess[v]))
-            required = required + excess[v]
-        elif sign is Order.LESS:
-            helpers.append(net.add(v, tau_node, -excess[v]))
-    got = net.max_flow(sigma, tau_node)
-    short = required - got
-    assert short.eval(box[0]) == 0 and short.eval(box[1]) == 0, (
-        "lower bounds uncovered inside the feasible interval"
-    )
-    carried = net.cap[ts ^ 1]
-    for a in helpers:
-        net.disable(a)
-    return carried + net.max_flow(g.source, g.sink)
 
 
 def solve_concave_single(inst: Instance) -> SolveResult:
@@ -147,23 +97,21 @@ def solve_concave_single(inst: Instance) -> SolveResult:
 
     def fval(x: Fraction) -> Fraction:
         v = val(x)
-        assert v is not None, "feasible interval sampled infeasible"
+        require(v is not None, "feasible interval sampled infeasible")
         vals[x] = v
         return v
 
-    def place(x: Fraction):
+    def place(x: Fraction) -> Order | None:
         """Locate the smallest maximizer against x from known values."""
         fx = fval(x)
         for y, fy in vals.items():
-            if y == x:
-                continue
             if fy > fx:
-                return ("left", x) if y < x else ("right", x)
-            if fy == fx:
-                return ("left", min(x, y))
+                return Order.LESS if y < x else Order.GREATER
+            if fy == fx and y < x:
+                return Order.LESS
         return None
 
-    def resolve_point(x: Fraction, lo: Fraction, hi: Fraction):
+    def resolve_point(x: Fraction, lo: Fraction, hi: Fraction) -> Order | None:
         out = place(x)
         if out is not None:
             return out
@@ -204,25 +152,19 @@ def solve_concave_single(inst: Instance) -> SolveResult:
                 if not reps:
                     mid = (box[0] + box[1]) / 2
                     v = d.eval(mid)
-                    assert v != 0, "midpoint hit an unreported root"
+                    require(v != 0, "midpoint hit an unreported root")
                     return Order.GREATER if v > 0 else Order.LESS
                 x = min(reps)
-                out = resolve_point(x, box[0], box[1])
-                if out is None:
+                where = resolve_point(x, box[0], box[1])
+                if where is None:
                     raise _Fork(x)
-                side, bound = out
-                if side == "left":
-                    evid[1] = min(evid[1], bound)
-                    if bound < box[0]:
-                        raise _PinnedAt(box[0])
-                    box[1] = min(box[1], bound)
+                # x lies strictly inside the box, and the box inside the
+                # evidence interval, so both shrink to x.
+                if where is Order.LESS:
+                    box[1] = evid[1] = x
                 else:
-                    evid[0] = max(evid[0], bound)
-                    if bound > box[1]:
-                        raise _PinnedAt(box[1])
-                    box[0] = max(box[0], bound)
-                assert evid[0] <= evid[1], "evidence interval collapsed"
-            raise AssertionError("sign resolution failed to converge")
+                    box[0] = evid[0] = x
+            raise InternalError("sign resolution failed to converge")
 
         return sign_of
 
@@ -259,7 +201,7 @@ def solve_concave_single(inst: Instance) -> SolveResult:
         rounds = 0
         while pending:
             rounds += 1
-            assert rounds < 500, "interval exploration failed to converge"
+            require(rounds < 500, "interval exploration failed to converge")
             p, q = pending.pop()
             if evid[1] <= p:
                 fval(p)
@@ -269,7 +211,7 @@ def solve_concave_single(inst: Instance) -> SolveResult:
                 continue
             box = [max(p, evid[0]), min(q, evid[1])]
             try:
-                total = _run(inst, box, lower, upper, make_sign(box))
+                total = symbolic_max_flow(inst, lower, upper, make_sign(box), box)
             except _Fork as f:
                 lo, hi = max(p, evid[0]), min(q, evid[1])
                 pending.append((lo, f.at))
@@ -291,8 +233,9 @@ def solve_concave_single(inst: Instance) -> SolveResult:
                 fval(x)
             if box[0] < box[1]:
                 w = (box[0] + box[1]) / 2
-                assert fval(w) == total.eval(w), (
-                    "value polynomial disagrees inside its interval"
+                require(
+                    fval(w) == total.eval(w),
+                    "value polynomial disagrees inside its interval",
                 )
     best_v = max(vals.values())
     best_x = min(x for x, v in vals.items() if v == best_v)
@@ -301,7 +244,7 @@ def solve_concave_single(inst: Instance) -> SolveResult:
 
 def _result_at(inst: Instance, ev: FEvaluator, x: Fraction) -> SolveResult:
     s = ev.sample((x,))
-    assert s.feasible
+    require(s.feasible, "concave optimum is infeasible")
     return SolveResult(
         (x,), s.value, FlowAssignment(s.flows, s.value), s.report
     )

@@ -23,7 +23,7 @@ from typing import Sequence
 from .graph import Graph
 from .values import DeviationFn
 
-__all__ = ["SetCrossing", "CutReport", "cut_capacity_at", "cut_edges"]
+__all__ = ["SetCrossing", "CutReport", "cut_edges"]
 
 
 @dataclass(frozen=True)
@@ -76,10 +76,6 @@ class CutReport:
         rate = sc.deviation.derivative_at(lam_i)
         live = sum(1 for u in sc.forward_uppers if dx <= u)
         return live * rate - sc.backward_count
-
-
-def cut_capacity_at(report: CutReport, lam: Sequence[Fraction]) -> Fraction:
-    return report.capacity_at(lam)
 
 
 def cut_edges(graph: Graph, s_side: frozenset[int]) -> tuple[list[int], list[int]]:

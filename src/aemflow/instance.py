@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .cuts import CutReport, SetCrossing
-from .errors import Infeasible, ValidationError
+from .errors import Infeasible, ValidationError, require
 from .graph import CapacityBounds, FlowAssignment, Graph
 from .maxflow import bounded_max_flow_arcs
 from .values import DeviationFn
@@ -35,7 +35,6 @@ __all__ = [
     "FSample",
     "FEvaluator",
     "make_instance",
-    "build_G_lambda",
     "evaluate_F",
 ]
 
@@ -239,22 +238,16 @@ def make_instance(
     return Instance(graph, tuple(caps), final_sets)
 
 
-def build_G_lambda(inst: Instance, lam: Sequence[Fraction]) -> CapacityBounds:
-    """Bounds of the reparameterized network at guess vector `lam`."""
-    return inst.bounds_at(lam)
-
-
-def evaluate_F(
-    inst: Instance, lam: Sequence[Fraction]
-) -> tuple[Fraction, CutReport]:
-    """Max-flow value at the guess vector, with its min-cut certificate.
+def _max_flow_at(
+    inst: Instance, lam: tuple[Fraction, ...]
+) -> tuple[Fraction, tuple[Fraction, ...], CutReport]:
+    """Max-flow value, edge flows and min-cut certificate at a checked `lam`.
 
     Raises Infeasible when the implied lower bounds admit no flow.  The
     certificate is re-priced through the cut formula and must reproduce the
     flow value exactly; a mismatch would mean corrupted bookkeeping, so it
-    is asserted here rather than left to callers.
+    is checked here rather than left to callers.
     """
-    lam = inst.check_lambda(lam)
     bounds = inst.bounds_at(lam)
     arcs = [
         (e.tail, e.head, bounds.lower[e.id], bounds.upper[e.id])
@@ -264,7 +257,18 @@ def evaluate_F(
         inst.n, arcs, inst.graph.source, inst.graph.sink
     )
     report = inst.cut_report(s_side, bounds)
-    assert report.capacity_at(lam) == value, "cut certificate mismatch"
+    require(report.capacity_at(lam) == value, "cut certificate mismatch")
+    return value, flows, report
+
+
+def evaluate_F(
+    inst: Instance, lam: Sequence[Fraction]
+) -> tuple[Fraction, CutReport]:
+    """Max-flow value at the guess vector, with its min-cut certificate.
+
+    Raises Infeasible when the implied lower bounds admit no flow.
+    """
+    value, _, report = _max_flow_at(inst, inst.check_lambda(lam))
     return value, report
 
 
@@ -289,21 +293,11 @@ class FEvaluator:
         if hit is not None:
             return hit
         self.evaluations += 1
-        inst = self.inst
-        bounds = inst.bounds_at(key)
-        arcs = [
-            (e.tail, e.head, bounds.lower[e.id], bounds.upper[e.id])
-            for e in inst.graph.edges
-        ]
         try:
-            value, flows, s_side = bounded_max_flow_arcs(
-                inst.n, arcs, inst.graph.source, inst.graph.sink
-            )
+            value, flows, report = _max_flow_at(self.inst, key)
         except Infeasible:
             out = FSample(False, None, None, None)
         else:
-            report = inst.cut_report(s_side, bounds)
-            assert report.capacity_at(key) == value, "cut certificate mismatch"
             out = FSample(True, value, report, flows)
         self._cache[key] = out
         return out

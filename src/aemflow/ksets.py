@@ -40,7 +40,6 @@ from .parametric import Slice
 from .values import simplest_rational_in
 
 __all__ = [
-    "simplest_rational_in",
     "solve_k_constant",
     "solve_integer_constant",
 ]

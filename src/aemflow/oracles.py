@@ -30,8 +30,8 @@ from math import floor, lcm
 
 from .errors import BudgetExceeded, ValidationError
 from .instance import FEvaluator, Instance
-from .ksets import simplest_rational_in
 from .maxflow import _aux_net, _Net
+from .values import simplest_rational_in
 
 __all__ = [
     "oracle_fractional",

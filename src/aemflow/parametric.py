@@ -13,19 +13,26 @@ Three exact primitives are built on that picture:
   one-sided slopes come from the auxiliary min cut.  Each step lands on a
   support line's root, so finitely many max-flow calls give the exact
   rational endpoints.
-* ``Slice.resolve`` places the optimum relative to a query point using two
-  nearby probes.  A chord with nonpositive slope on the left, or positive
-  slope on the right, decides the direction outright.  Declaring the query
-  point itself optimal additionally requires the probe cut's one-sided
-  slope to match the chord exactly; that match certifies F is linear
-  across the probe window, which pins the one-sided derivatives at the
-  query point.  When the certificate fails the window shrinks and the
+* ``Slice.resolve`` places the optimum relative to a query point, as an
+  ``Order``, using two nearby probes.  A chord with nonpositive slope on
+  the left, or positive slope on the right, decides the direction
+  outright.  Declaring the query point itself optimal additionally
+  requires the probe cut's one-sided slope to match the chord exactly;
+  that match certifies F is linear across the probe window, which pins
+  the one-sided derivatives at the query point.  When the certificate fails the window shrinks and the
   probes repeat, and since F has finitely many kinks this terminates.
-* ``Slice.solve`` runs the flow computation once with symbolic affine
-  bounds, answering every comparison through ``resolve`` while narrowing
-  the interval that must contain the optimum.  The run either gets pinned
-  to an exact optimum mid-way or returns the value function's affine form
-  on the final interval, whose better endpoint is the optimum.
+* ``Slice.solve`` runs the flow computation once with bounds that are
+  degree-one polynomials in the free parameter, answering every
+  comparison through ``resolve`` while narrowing the interval that must
+  contain the optimum.  The run either gets pinned to an exact optimum
+  mid-way or returns the value function's affine form on the final
+  interval, whose better endpoint is the optimum.
+
+The symbolic run itself, :func:`symbolic_max_flow`, is shared with the
+concave solver: it routes the lower bounds by a circulation over
+:class:`_SymNet`, then augments from source to sink, and every branch it
+takes is the sign of a polynomial at the unknown optimum, answered by the
+caller's sign oracle.
 
 All rationals are exact; there is no tolerance anywhere in this module.
 """
@@ -33,22 +40,23 @@ All rationals are exact; there is no tolerance anywhere in this module.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Callable, NamedTuple
 
-from .errors import Infeasible, UnsupportedDeviation, ValidationError
+from .errors import (
+    Infeasible,
+    InternalError,
+    UnsupportedDeviation,
+    ValidationError,
+    require,
+)
 from .graph import FlowAssignment
 from .instance import FEvaluator, FSample, Instance, SolveResult
 from .maxflow import deficiency_arcs
-from .values import AffineValue, Order, affine_compare
+from .values import Order, PolyValue
 
 __all__ = [
-    "Resolution",
-    "OptLeft",
-    "OptRight",
-    "OptimalAt",
     "Slice",
     "SliceOpt",
     "resolve_comparison",
@@ -56,27 +64,10 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
+_NIL = PolyValue(())
 
-
-@dataclass(frozen=True)
-class Resolution:
-    """Where the slice optimum sits relative to a query point."""
-
-    side: str
-    at: Fraction | None = None
-
-    def __repr__(self) -> str:
-        if self.side == "at":
-            return f"OptimalAt({self.at})"
-        return "OptLeft" if self.side == "left" else "OptRight"
-
-
-OptLeft = Resolution("left")
-OptRight = Resolution("right")
-
-
-def OptimalAt(x) -> Resolution:
-    return Resolution("at", Fraction(x))
+# Answers the sign of a polynomial at the unknown optimum.
+SignOracle = Callable[[PolyValue], Order]
 
 
 class SliceOpt(NamedTuple):
@@ -120,7 +111,7 @@ class Slice:
         self.ev = evaluator if evaluator is not None else FEvaluator(inst)
         self.u_free = inst.u_R(free)
         self._interval: tuple[Fraction, Fraction] | None = None
-        self._resolutions: dict[Fraction, Resolution] = {}
+        self._resolutions: dict[Fraction, Order] = {}
         self._def_cache: dict[Fraction, tuple] = {}
         dev = inst.sets[free].deviation
         dens = [c.denominator for c in inst.capacities]
@@ -164,7 +155,7 @@ class Slice:
         # affine in x except for the clamp min(u_r, Delta(x)) on free arcs.
         inst = self.inst
         T = rep.aux_s_side
-        assert not rep.crosses_return, "return arc in a minimum auxiliary cut"
+        require(not rep.crosses_return, "return arc in a minimum auxiliary cut")
         free_ids = set(inst.sets[self.free].edges)
         dev = inst.sets[self.free].deviation
         dx = dev(x)
@@ -191,7 +182,7 @@ class Slice:
                     u = inst.capacities[e.id]
                     live = dx < u if right else dx <= u
                     slope -= (rate if live else _ZERO) - 1
-        assert acc == rep.deficiency, "support line misses the deficiency value"
+        require(acc == rep.deficiency, "support line misses the deficiency value")
         return slope
 
     def _def_root(self, x: Fraction, forward: bool) -> Fraction:
@@ -215,11 +206,11 @@ class Slice:
             else:
                 # A zero exists to the left (the forward search found one),
                 # so the deficiency must still be falling when read leftward.
-                assert slope > 0, "leftward root search lost its zero"
+                require(slope > 0, "leftward root search lost its zero")
                 x = x - rep.deficiency / slope
-                assert x >= 0
+                require(x >= 0, "leftward root search passed zero")
             rep, bounds = self._deficiency(x)
-        raise AssertionError("deficiency root search failed to converge")
+        raise InternalError("deficiency root search failed to converge")
 
     def feasible_interval(self) -> tuple[Fraction, Fraction]:
         """Exact endpoints of the feasible parameter interval.
@@ -230,7 +221,7 @@ class Slice:
         if self._interval is None:
             af = self._def_root(_ZERO, forward=True)
             bf = self._def_root(self.u_free, forward=False)
-            assert af <= bf
+            require(af <= bf, "feasible interval endpoints out of order")
             self._interval = (af, bf)
         return self._interval
 
@@ -240,8 +231,12 @@ class Slice:
         """Starting width for probe windows around x; shrunk on demand."""
         return Fraction(1, 2 * self._eps_scale * x.denominator)
 
-    def resolve(self, x) -> Resolution:
-        """Place the slice optimum relative to x.  Exact, no tolerance."""
+    def resolve(self, x) -> Order:
+        """Place the slice optimum relative to x.  Exact, no tolerance.
+
+        LESS: the optimum lies below x; EQUAL: x is the optimum; GREATER:
+        the optimum lies above x.
+        """
         x = Fraction(x)
         hit = self._resolutions.get(x)
         if hit is not None:
@@ -250,16 +245,16 @@ class Slice:
         self._resolutions[x] = out
         return out
 
-    def _resolve(self, x: Fraction) -> Resolution:
+    def _resolve(self, x: Fraction) -> Order:
         af, bf = self.feasible_interval()
         if x < af:
-            return OptRight
+            return Order.GREATER
         if x > bf:
-            return OptLeft
+            return Order.LESS
         if af == bf:
-            return OptimalAt(af)
+            return Order.EQUAL
         fx = self.sample(x)
-        assert fx.feasible
+        require(fx.feasible, "query point inside the feasible interval is infeasible")
         eps = min(self.probe_gap(x), bf - af)
         for _ in range(80):
             cl = cr = None
@@ -269,34 +264,34 @@ class Slice:
             if x > af:
                 t1 = x - min(eps, x - af)
                 s1 = self.sample(t1)
-                assert s1.feasible
+                require(s1.feasible, "left probe is infeasible")
                 cl = (fx.value - s1.value) / (x - t1)
                 cert_l = s1.report.right_slope(self.free, t1) == cl
             if x < bf:
                 t2 = x + min(eps, bf - x)
                 s2 = self.sample(t2)
-                assert s2.feasible
+                require(s2.feasible, "right probe is infeasible")
                 cr = (s2.value - fx.value) / (t2 - x)
                 cert_r = s2.report.left_slope(self.free, t2) == cr
             # Chord verdicts need no certificate: concavity alone makes a
             # flat-or-falling left chord push the smallest maximizer left,
             # and a rising right chord push it right.
             if cl is not None and cl <= 0:
-                return OptLeft
+                return Order.LESS
             if cr is not None and cr > 0:
-                return OptRight
+                return Order.GREATER
             if cl is None:
                 if cert_r:
-                    return OptimalAt(x)
+                    return Order.EQUAL
             elif cr is None:
                 if cert_l:
-                    return OptimalAt(x)
+                    return Order.EQUAL
             elif cert_l and cert_r:
                 cross = ((s2.value - cr * t2) - (s1.value - cl * t1)) / (cl - cr)
-                assert cross == x, "certified probe lines miss the query point"
-                return OptimalAt(x)
+                require(cross == x, "certified probe lines miss the query point")
+                return Order.EQUAL
             eps /= 16
-        raise AssertionError("probe window failed to certify a verdict")
+        raise InternalError("probe window failed to certify a verdict")
 
     # -- parametric solve ----------------------------------------------------
 
@@ -321,135 +316,114 @@ class Slice:
                 return Order.GREATER
             if tau > box[1]:
                 return Order.LESS
-            res = self.resolve(tau)
-            if res.side == "left":
-                box[1] = tau
-                return Order.LESS
-            if res.side == "right":
-                box[0] = tau
-                return Order.GREATER
-            raise _PinnedAt(res.at)
+            where = self.resolve(tau)
+            if where is Order.EQUAL:
+                raise _PinnedAt(tau)
+            box[1 if where is Order.LESS else 0] = tau
+            return where
 
-        def resolver(index: int, tau: Fraction) -> Order:
-            assert index == 0
-            return locate(tau)
+        def sign_of(d: PolyValue) -> Order:
+            return _threshold_sign(d, locate)
 
         try:
-            total = self._simulate(resolver, box)
+            lower, upper = self._symbolic_bounds(sign_of)
+            total = symbolic_max_flow(self.inst, lower, upper, sign_of, box)
         except _PinnedAt as p:
             return self._finish(p.value)
-        a, b = total.const, total.coeffs[0]
-        star = box[1] if b > 0 else box[0]
+        slope = total.coeffs[1] if total.degree >= 1 else _ZERO
+        star = box[1] if slope > 0 else box[0]
         out = self._finish(star)
-        assert out.value == a + b * star, "affine value disagrees at the optimum"
+        require(out.value == total.eval(star), "affine value disagrees at the optimum")
         return out
 
-    def _finish(self, x: Fraction) -> SliceOpt:
-        s = self.sample(x)
-        assert s.feasible
-        return SliceOpt(x, s.value, s.flows, s.report)
-
-    def _simulate(
-        self, resolver: Callable[[int, Fraction], Order], box: list[Fraction]
-    ) -> AffineValue:
+    def _symbolic_bounds(
+        self, sign_of: SignOracle
+    ) -> tuple[list[PolyValue], list[PolyValue]]:
+        """Per-edge bounds as polynomials in the free parameter."""
         inst = self.inst
-        g = inst.graph
-        zero = AffineValue.constant(0, 1)
-        lam = AffineValue.parameter(0, 1)
         dev = inst.sets[self.free].deviation
-        c0 = dev.poly.coeffs[0]
-        c1 = dev.poly.coeffs[1] if dev.degree >= 1 else _ZERO
-        dev_aff = AffineValue(c0, (c1,))
-        lower: list[AffineValue] = []
-        upper: list[AffineValue] = []
-        for e in g.edges:
+        lam = PolyValue((_ZERO, Fraction(1)))
+        lower: list[PolyValue] = []
+        upper: list[PolyValue] = []
+        for e in inst.graph.edges:
             i = inst.set_of_edge(e.id)
-            cap = AffineValue.constant(inst.capacities[e.id], 1)
+            cap = PolyValue.constant(inst.capacities[e.id])
             if i is None:
-                lower.append(zero)
+                lower.append(_NIL)
                 upper.append(cap)
             elif i != self.free:
                 fx = self.fixed[i]
                 di = inst.sets[i].deviation(fx)
-                lower.append(AffineValue.constant(fx, 1))
-                upper.append(
-                    AffineValue.constant(min(inst.capacities[e.id], di), 1)
-                )
+                lower.append(PolyValue.constant(fx))
+                upper.append(PolyValue.constant(min(inst.capacities[e.id], di)))
             else:
                 lower.append(lam)
-                if affine_compare(dev_aff, cap, resolver) is Order.GREATER:
-                    upper.append(cap)
-                else:
-                    upper.append(dev_aff)
+                above = _sign(dev.poly - cap, sign_of) is Order.GREATER
+                upper.append(cap if above else dev.poly)
+        return lower, upper
 
-        def cmp(x: AffineValue, y: AffineValue) -> Order:
-            return affine_compare(x, y, resolver)
+    def _finish(self, x: Fraction) -> SliceOpt:
+        s = self.sample(x)
+        require(s.feasible, "slice optimum is infeasible")
+        return SliceOpt(x, s.value, s.flows, s.report)
 
-        n = inst.n
-        sigma, tau_node = n, n + 1
-        net = _SymNet(n + 2, zero, cmp)
-        for e in g.edges:
-            net.add(e.tail, e.head, upper[e.id] - lower[e.id])
-        excess = [zero] * n
-        for e in g.edges:
-            excess[e.head] = excess[e.head] + lower[e.id]
-            excess[e.tail] = excess[e.tail] - lower[e.id]
-        big = AffineValue.constant(sum(inst.capacities) + 1, 1)
-        ts = net.add(g.sink, g.source, big)
-        helpers = [ts]
-        required = zero
-        for v in range(n):
-            sign = cmp(excess[v], zero)
-            if sign is Order.GREATER:
-                helpers.append(net.add(sigma, v, excess[v]))
-                required = required + excess[v]
-            elif sign is Order.LESS:
-                helpers.append(net.add(v, tau_node, -excess[v]))
-        got = net.max_flow(sigma, tau_node)
-        short = required - got
-        # The whole current interval is feasible, so the circulation covers
-        # every lower bound across it, not just at one point.
-        assert short.eval((box[0],)) == 0 and short.eval((box[1],)) == 0
-        carried = net.cap[ts ^ 1]
-        for a in helpers:
-            net.disable(a)
-        return carried + net.max_flow(g.source, g.sink)
+
+def _threshold_sign(d: PolyValue, locate: Callable[[Fraction], Order]) -> Order:
+    """Sign at the optimum of a degree-one `d`, by placing its root.
+
+    ``d(x) = c1 * (x - t)`` with ``t = -c0 / c1``: `locate` says on which
+    side of t the optimum lies, and the slope's sign turns that side into
+    the sign of d.
+    """
+    require(d.degree == 1, "slice comparison is not affine in the parameter")
+    c0, c1 = d.coeffs
+    where = locate(-c0 / c1)
+    return where if c1 > 0 else Order(-where.value)
+
+
+def _sign(d: PolyValue, sign_of: SignOracle) -> Order:
+    """Sign of `d` at the optimum; a constant needs no oracle."""
+    if d.degree > 0:
+        return sign_of(d)
+    if d.is_zero():
+        return Order.EQUAL
+    return Order.GREATER if d.coeffs[0] > 0 else Order.LESS
 
 
 class _SymNet:
-    """Residual network whose capacities are affine forms in one parameter.
+    """Residual network whose capacities are polynomials in one parameter.
 
-    Mirrors the integer engine arc for arc; every branch taken depends on
-    the comparison callback, so a consistent resolver makes the run replay
-    the concrete algorithm at the (unknown) optimum.
+    Mirrors the integer engine arc for arc; every branch taken is the sign
+    of a capacity or a capacity difference at the unknown optimum, asked
+    of `sign_of`, so consistent answers make the run replay the concrete
+    algorithm at the optimum.
     """
 
-    __slots__ = ("n", "to", "cap", "adj", "zero", "cmp")
+    __slots__ = ("n", "to", "cap", "adj", "sign_of")
 
-    def __init__(self, n: int, zero: AffineValue, cmp):
+    def __init__(self, n: int, sign_of: SignOracle):
         self.n = n
         self.to: list[int] = []
-        self.cap: list[AffineValue] = []
+        self.cap: list[PolyValue] = []
         self.adj: list[list[int]] = [[] for _ in range(n)]
-        self.zero = zero
-        self.cmp = cmp
+        self.sign_of = sign_of
 
-    def add(self, u: int, v: int, c: AffineValue) -> int:
+    def add(self, u: int, v: int, c: PolyValue) -> int:
         a = len(self.to)
         self.to.append(v)
         self.cap.append(c)
         self.adj[u].append(a)
         self.to.append(u)
-        self.cap.append(self.zero)
+        self.cap.append(_NIL)
         self.adj[v].append(a + 1)
         return a
 
     def disable(self, a: int) -> None:
-        self.cap[a] = self.zero
-        self.cap[a ^ 1] = self.zero
+        self.cap[a] = _NIL
+        self.cap[a ^ 1] = _NIL
 
-    def _positive(self, a: int) -> bool:
-        return self.cmp(self.cap[a], self.zero) is Order.GREATER
+    def sign(self, d: PolyValue) -> Order:
+        return _sign(d, self.sign_of)
 
     def _bfs(self, s: int, t: int) -> list[int] | None:
         parent = [-1] * self.n
@@ -458,7 +432,7 @@ class _SymNet:
         while q:
             u = q.popleft()
             for a in self.adj[u]:
-                if self._positive(a):
+                if self.sign(self.cap[a]) is Order.GREATER:
                     v = self.to[a]
                     if parent[v] == -1:
                         parent[v] = a
@@ -467,10 +441,14 @@ class _SymNet:
                         q.append(v)
         return None
 
-    def max_flow(self, s: int, t: int) -> AffineValue:
-        total = self.zero
-        rounds = 4 * self.n * self.n * self.n + 64
-        for _ in range(rounds):
+    def max_flow(self, s: int, t: int) -> PolyValue:
+        total = _NIL
+        # Edmonds-Karp bound: every augmentation saturates an arc of a
+        # shortest path, and an arc saturates again only after its tail's
+        # distance from s has grown by two, so each of the len(to) residual
+        # arcs saturates at most n/2 times.  Consistent sign answers make
+        # this the concrete run at one parameter value, so the bound holds.
+        for _ in range(len(self.to) * self.n // 2 + 1):
             parent = self._bfs(s, t)
             if parent is None:
                 return total
@@ -479,7 +457,7 @@ class _SymNet:
             while v != s:
                 a = parent[v]
                 c = self.cap[a]
-                if push is None or self.cmp(c, push) is Order.LESS:
+                if push is None or self.sign(c - push) is Order.LESS:
                     push = c
                 v = self.to[a ^ 1]
             v = t
@@ -489,7 +467,57 @@ class _SymNet:
                 self.cap[a ^ 1] = self.cap[a ^ 1] + push
                 v = self.to[a ^ 1]
             total = total + push
-        raise AssertionError("symbolic augmentation failed to terminate")
+        raise InternalError("symbolic augmentation exceeded the Edmonds-Karp bound")
+
+
+def symbolic_max_flow(
+    inst: Instance,
+    lower: list[PolyValue],
+    upper: list[PolyValue],
+    sign_of: SignOracle,
+    box: list[Fraction],
+) -> PolyValue:
+    """Max-flow value under per-edge polynomial bounds, as a polynomial.
+
+    The lower bounds are routed first: a circulation through a sink-to-
+    source return arc covers every node's lower-bound imbalance from a
+    super source to a super sink.  The helper arcs are then dropped, the
+    return arc's flow is kept as the starting value, and augmentation
+    continues from source to sink.  Every comparison goes to `sign_of`,
+    which may shrink `box`; the result is the value function on the final
+    box, on all of which the lower bounds must be covered.
+    """
+    g = inst.graph
+    n = inst.n
+    sigma, tau_node = n, n + 1
+    net = _SymNet(n + 2, sign_of)
+    for e in g.edges:
+        net.add(e.tail, e.head, upper[e.id] - lower[e.id])
+    excess = [_NIL] * n
+    for e in g.edges:
+        excess[e.head] = excess[e.head] + lower[e.id]
+        excess[e.tail] = excess[e.tail] - lower[e.id]
+    ts = net.add(g.sink, g.source, PolyValue.constant(sum(inst.capacities) + 1))
+    helpers = [ts]
+    required = _NIL
+    for v in range(n):
+        sign = net.sign(excess[v])
+        if sign is Order.GREATER:
+            helpers.append(net.add(sigma, v, excess[v]))
+            required = required + excess[v]
+        elif sign is Order.LESS:
+            helpers.append(net.add(v, tau_node, -excess[v]))
+    short = required - net.max_flow(sigma, tau_node)
+    # The whole box is feasible, so the circulation covers every lower
+    # bound across it, not just at one point.
+    require(
+        short.eval(box[0]) == 0 and short.eval(box[1]) == 0,
+        "lower bounds uncovered inside the feasible interval",
+    )
+    carried = net.cap[ts ^ 1]
+    for a in helpers:
+        net.disable(a)
+    return carried + net.max_flow(g.source, g.sink)
 
 
 def resolve_comparison(
@@ -497,7 +525,7 @@ def resolve_comparison(
     lam,
     set_index: int = 0,
     fixed: dict[int, Fraction] | None = None,
-) -> Resolution:
+) -> Order:
     """Compare a candidate parameter value against the slice optimum.
 
     For a single-set instance ``fixed`` may be omitted.  With several sets

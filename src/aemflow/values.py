@@ -1,20 +1,17 @@
 """Symbolic values carried through parameter-dependent computations.
 
 The parametric solvers simulate flow algorithms on a network whose bounds
-depend on one or more unknown parameters.  Flow amounts and residual
-capacities then live in a small symbolic domain:
+depend on one unknown parameter, the optimum.  Flow amounts and residual
+capacities are then univariate polynomials in that parameter,
+:class:`PolyValue`, with exact rational coefficients: degree one for
+affine deviations, the deviation's degree otherwise.  Flow updates only
+ever add, subtract and scale, so the domain is closed under everything
+the simulation does.
 
-* :class:`AffineValue` represents ``a + b1*x1 + ... + bk*xk`` with exact
-  rational coefficients.  Flow updates only ever add, subtract and scale,
-  so the domain is closed under everything the simulation does.
-* :class:`PolyValue` represents a univariate polynomial ``c0 + c1*x + ...``
-  used when deviation functions are nonlinear.  Again only addition,
-  subtraction and scalar multiplication occur.
-
-Ordering two affine values reduces to locating the unknown parameter
-relative to one rational threshold.  :func:`affine_compare` performs that
-reduction and delegates the actual location query to a resolver callback,
-which is where a surrounding search algorithm plugs in.
+Every branch of such a simulation asks for the sign of a polynomial at
+the unknown optimum, and every answer is an :class:`Order`.  The same
+type says where the optimum lies relative to a query point: LESS when
+it is below the point, EQUAL when it is the point, GREATER when above.
 """
 
 from __future__ import annotations
@@ -23,16 +20,16 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+
+from .errors import require
 
 __all__ = [
     "Order",
-    "AffineValue",
     "PolyValue",
     "Root",
     "DeviationFn",
-    "affine_compare",
     "poly_roots",
+    "simplest_rational_in",
 ]
 
 _ZERO = Fraction(0)
@@ -45,14 +42,6 @@ class Order(enum.Enum):
     EQUAL = 0
     GREATER = 1
 
-    def flip(self) -> "Order":
-        return Order(-self.value)
-
-
-# A resolver answers: where does the unknown parameter `index` sit relative
-# to `threshold`?  Order.LESS means the parameter is strictly below it.
-Resolver = Callable[[int, Fraction], Order]
-
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -62,113 +51,6 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"expected a rational, got {type(x).__name__}")
-
-
-@dataclass(frozen=True)
-class AffineValue:
-    """An exact affine form ``const + sum(coeffs[i] * x_i)``.
-
-    Instances are immutable; arithmetic returns new values.  The number of
-    parameters is fixed per computation and both operands of any binary
-    operation must agree on it.
-    """
-
-    const: Fraction
-    coeffs: tuple[Fraction, ...] = ()
-
-    @staticmethod
-    def constant(value, nparams: int = 0) -> "AffineValue":
-        return AffineValue(_as_fraction(value), (_ZERO,) * nparams)
-
-    @staticmethod
-    def parameter(index: int, nparams: int, scale=1, shift=0) -> "AffineValue":
-        """The form ``shift + scale * x_index`` in an `nparams` space."""
-        if not 0 <= index < nparams:
-            raise ValueError("parameter index out of range")
-        coeffs = [_ZERO] * nparams
-        coeffs[index] = _as_fraction(scale)
-        return AffineValue(_as_fraction(shift), tuple(coeffs))
-
-    def _check(self, other: "AffineValue") -> None:
-        if len(self.coeffs) != len(other.coeffs):
-            raise ValueError("affine values over different parameter spaces")
-
-    def __add__(self, other: "AffineValue") -> "AffineValue":
-        self._check(other)
-        return AffineValue(
-            self.const + other.const,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __sub__(self, other: "AffineValue") -> "AffineValue":
-        self._check(other)
-        return AffineValue(
-            self.const - other.const,
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __neg__(self) -> "AffineValue":
-        return AffineValue(-self.const, tuple(-a for a in self.coeffs))
-
-    def scale(self, factor) -> "AffineValue":
-        f = _as_fraction(factor)
-        return AffineValue(self.const * f, tuple(a * f for a in self.coeffs))
-
-    def eval(self, point: Sequence[Fraction]) -> Fraction:
-        if len(point) != len(self.coeffs):
-            raise ValueError("evaluation point has wrong dimension")
-        total = self.const
-        for c, x in zip(self.coeffs, point):
-            if c:
-                total += c * x
-        return total
-
-    def is_constant(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def free_index(self) -> int | None:
-        """Index of the single parameter with a nonzero coefficient, if any."""
-        found = None
-        for i, c in enumerate(self.coeffs):
-            if c:
-                if found is not None:
-                    return None
-                found = i
-        return found
-
-
-def affine_compare(lhs: AffineValue, rhs: AffineValue, resolver: Resolver) -> Order:
-    """Order two affine values at the unknown parameter point.
-
-    At most one parameter may have differing coefficients between the two
-    operands; the comparison then reduces to that parameter against the
-    rational threshold where the two forms intersect.  The resolver is asked
-    to place the parameter relative to the threshold and may run arbitrary
-    work of its own (typically max-flow evaluations), so it must be safe to
-    call re-entrantly.
-    """
-    diff = lhs - rhs
-    idx = None
-    for i, c in enumerate(diff.coeffs):
-        if c:
-            if idx is not None:
-                raise ValueError("comparison differs in more than one parameter")
-            idx = i
-    if idx is None:
-        if diff.const < 0:
-            return Order.LESS
-        if diff.const > 0:
-            return Order.GREATER
-        return Order.EQUAL
-    slope = diff.coeffs[idx]
-    threshold = -diff.const / slope
-    where = resolver(idx, threshold)
-    if where is Order.EQUAL:
-        return Order.EQUAL
-    # diff(x) = slope * (x - threshold): sign follows the side and the slope.
-    if (where is Order.GREATER) == (slope > 0):
-        return Order.GREATER
-    return Order.LESS
 
 
 @dataclass(frozen=True)
@@ -284,8 +166,11 @@ def _bisect_root(poly: PolyValue, lo: Fraction, hi: Fraction, width: Fraction) -
     doubling every step, which matters when callers evaluate the bracket
     ends many times afterwards.
     """
-    flo = poly.eval(lo)
-    assert flo != 0 and poly.eval(hi) != 0 and (flo < 0) != (poly.eval(hi) < 0)
+    flo, fhi = poly.eval(lo), poly.eval(hi)
+    require(
+        flo != 0 and fhi != 0 and (flo < 0) != (fhi < 0),
+        "root bracket has no strict sign change",
+    )
     neg_left = flo < 0
     while hi - lo > width:
         w = hi - lo

@@ -10,6 +10,7 @@ from aemflow.graph import Graph
 from aemflow.instance import make_instance
 from aemflow.oracles import oracle_concave_single
 from aemflow.parametric import solve_simple_constant
+from aemflow.randgen import generate_random
 from aemflow.values import DeviationFn
 
 
@@ -168,3 +169,25 @@ class TestAgainstOracle:
         b = solve_concave_single(inst)
         assert a.lambda_star == b.lambda_star
         assert a.opt_value == b.opt_value
+
+
+class TestAffineRandom:
+    """n=10, m=30 affine instances, where an equal F value to the right of
+    a query point used to be read as "the optimum lies left of it"."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_oracle(self, seed):
+        inst = generate_random(10, 30, 1, deviation_kind="affine", seed=seed)
+        res = solve_concave_single(inst)
+        res.verify(inst)
+        _, ov = oracle_concave_single(inst)
+        assert ov <= res.opt_value
+        assert res.opt_value - ov <= Q(1, 1 << 30) * max(inst.u_R(0), 1)
+
+    def test_equal_value_right_of_query_decides_nothing(self):
+        inst = generate_random(
+            10, 30, 1, deviation_kind="affine", seed=10000100044
+        )
+        res = solve_concave_single(inst)
+        assert res.lambda_star == (Q(3, 4),)
+        assert res.opt_value == Q(41, 4)

@@ -2,7 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from aemflow.cuts import CutReport, SetCrossing, cut_capacity_at, cut_edges
+from aemflow.cuts import CutReport, SetCrossing, cut_edges
 from aemflow.graph import Graph
 from aemflow.values import DeviationFn
 
@@ -14,7 +14,7 @@ def shift(c):
 class TestCutCapacity:
     def test_plain_cut_independent_of_lambda(self):
         rep = CutReport(frozenset({0}), Q(4), ())
-        assert cut_capacity_at(rep, ()) == 4
+        assert rep.capacity_at(()) == 4
 
     def test_two_forward_members_clamped(self):
         # two homologous edges cap 10 each, Delta x+1, lam=3: 2*min(10,4) = 8

@@ -6,7 +6,6 @@ from aemflow.errors import Infeasible, ValidationError
 from aemflow.graph import Graph
 from aemflow.instance import (
     FEvaluator,
-    build_G_lambda,
     evaluate_F,
     make_instance,
 )
@@ -155,25 +154,25 @@ class TestBuildGLambda:
         g.add_edge("s", "t")
         g.source, g.sink = 0, 1
         inst = make_instance(g, [4, 10], [([0], shift(0))])
-        b = build_G_lambda(inst, (Q(0),))
+        b = inst.bounds_at((Q(0),))
         assert (b.lower[0], b.upper[0]) == (0, 0)
         assert (b.lower[1], b.upper[1]) == (0, 10)
 
     def test_two_parallel_at_four(self):
-        b = build_G_lambda(two_parallel(), (Q(4),))
+        b = two_parallel().bounds_at((Q(4),))
         assert (b.lower[0], b.upper[0]) == (4, 4)
         assert (b.lower[1], b.upper[1]) == (4, 5)
 
     def test_upper_clamp_at_u_R(self):
         inst = two_parallel(c=2)
-        b = build_G_lambda(inst, (inst.u_R(0),))
+        b = inst.bounds_at((inst.u_R(0),))
         assert (b.lower[0], b.upper[0]) == (4, 4)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
-            build_G_lambda(two_parallel(), (Q(5),))
+            two_parallel().bounds_at((Q(5),))
         with pytest.raises(ValidationError):
-            build_G_lambda(two_parallel(), (Q(-1),))
+            two_parallel().bounds_at((Q(-1),))
 
 
 class TestEvaluateF:

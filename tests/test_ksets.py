@@ -7,12 +7,8 @@ from hypothesis import strategies as st
 from aemflow.errors import UnsupportedDeviation, ValidationError
 from aemflow.graph import Graph
 from aemflow.instance import FEvaluator, make_instance
-from aemflow.ksets import (
-    simplest_rational_in,
-    solve_integer_constant,
-    solve_k_constant,
-)
-from aemflow.values import DeviationFn
+from aemflow.ksets import solve_integer_constant, solve_k_constant
+from aemflow.values import DeviationFn, simplest_rational_in
 
 shift = DeviationFn.constant_shift
 

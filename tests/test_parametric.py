@@ -7,16 +7,9 @@ from hypothesis import strategies as st
 from aemflow.errors import Infeasible, UnsupportedDeviation, ValidationError
 from aemflow.graph import Graph
 from aemflow.instance import FEvaluator, make_instance
-from aemflow.parametric import (
-    OptimalAt,
-    OptLeft,
-    OptRight,
-    Slice,
-    resolve_comparison,
-    solve_simple_constant,
-)
+from aemflow.parametric import Slice, resolve_comparison, solve_simple_constant
 from aemflow.profile import breakpoint_profile
-from aemflow.values import DeviationFn
+from aemflow.values import DeviationFn, Order
 
 shift = DeviationFn.constant_shift
 
@@ -92,33 +85,34 @@ def two_stage():
 class TestResolve:
     def test_two_parallel_spec_points(self):
         inst = two_parallel()
-        assert resolve_comparison(inst, 4) == OptimalAt(4)
-        assert resolve_comparison(inst, 2) == OptRight
-        assert resolve_comparison(inst, Q(7, 2)) == OptRight
-        assert resolve_comparison(inst, 5) == OptLeft
+        assert resolve_comparison(inst, 4) is Order.EQUAL
+        assert resolve_comparison(inst, 2) is Order.GREATER
+        assert resolve_comparison(inst, Q(7, 2)) is Order.GREATER
+        assert resolve_comparison(inst, 5) is Order.LESS
 
     def test_plateau_reports_left_edge(self):
         inst = plateau()
-        assert resolve_comparison(inst, 1) == OptimalAt(1)
-        assert resolve_comparison(inst, Q(3, 2)) == OptLeft
-        assert resolve_comparison(inst, Q(1, 2)) == OptRight
+        assert resolve_comparison(inst, 1) is Order.EQUAL
+        assert resolve_comparison(inst, Q(3, 2)) is Order.LESS
+        assert resolve_comparison(inst, Q(1, 2)) is Order.GREATER
 
     def test_fractional_optimum(self):
         inst = bottleneck()
-        assert resolve_comparison(inst, Q(3, 2)) == OptimalAt(Q(3, 2))
-        assert resolve_comparison(inst, 1) == OptRight
-        assert resolve_comparison(inst, 2) == OptLeft
+        assert resolve_comparison(inst, Q(3, 2)) is Order.EQUAL
+        assert resolve_comparison(inst, 1) is Order.GREATER
+        assert resolve_comparison(inst, 2) is Order.LESS
 
     def test_decreasing_pins_domain_start(self):
         inst = reverse_drain()
-        assert resolve_comparison(inst, 1) == OptLeft
-        assert resolve_comparison(inst, 0) == OptimalAt(0)
+        assert resolve_comparison(inst, 1) is Order.LESS
+        assert resolve_comparison(inst, 0) is Order.EQUAL
 
     def test_requires_fixed_values_for_extra_sets(self):
         inst = two_stage()
         with pytest.raises(ValidationError):
             resolve_comparison(inst, 1)
-        assert resolve_comparison(inst, 1, set_index=1, fixed={0: Q(2)}) == OptimalAt(1)
+        where = resolve_comparison(inst, 1, set_index=1, fixed={0: Q(2)})
+        assert where is Order.EQUAL
 
     def test_bad_set_index(self):
         with pytest.raises(ValidationError):

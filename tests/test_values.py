@@ -3,13 +3,12 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, strategies as st
 
+from aemflow.parametric import _SymNet, _threshold_sign
 from aemflow.values import (
-    AffineValue,
     DeviationFn,
     Order,
     PolyValue,
     Root,
-    affine_compare,
     poly_roots,
 )
 
@@ -17,79 +16,55 @@ rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=12
 )
 
-
-def affine(nparams):
-    return st.builds(
-        lambda c, cs: AffineValue(c, tuple(cs)),
-        rationals,
-        st.lists(rationals, min_size=nparams, max_size=nparams),
-    )
-
-
-points = st.lists(rationals, min_size=2, max_size=2).map(tuple)
+# Degree <= 1 polynomials: the values a constant-shift slice run carries.
+linear = st.builds(lambda c0, c1: PolyValue((c0, c1)), rationals, rationals)
 
 
 class TestAffineValue:
-    def test_constant_and_parameter_constructors(self):
-        c = AffineValue.constant(Q(3, 2), nparams=2)
-        assert c.eval((Q(7), Q(9))) == Q(3, 2)
-        p = AffineValue.parameter(1, 2, scale=Q(2), shift=Q(5))
-        assert p.eval((Q(100), Q(3))) == 11
+    """Affine values are degree <= 1 PolyValues; their arithmetic is exact."""
 
-    def test_dimension_mismatch_rejected(self):
-        a = AffineValue.constant(1, nparams=1)
-        b = AffineValue.constant(1, nparams=2)
-        with pytest.raises(ValueError):
-            a + b
-
-    @given(affine(2), affine(2), points)
+    @given(linear, linear, rationals)
     def test_add_sub_evaluate_pointwise(self, a, b, x):
         assert (a + b).eval(x) == a.eval(x) + b.eval(x)
         assert (a - b).eval(x) == a.eval(x) - b.eval(x)
+        assert (a + b).degree <= 1 and (a - b).degree <= 1
 
-    @given(affine(2), rationals, points)
+    @given(linear, rationals, rationals)
     def test_scale_evaluates_pointwise(self, a, f, x):
         assert a.scale(f).eval(x) == f * a.eval(x)
-
-    def test_free_index(self):
-        assert AffineValue(Q(1), (Q(0), Q(2))).free_index() == 1
-        assert AffineValue(Q(1), (Q(1), Q(2))).free_index() is None
-        assert AffineValue(Q(1), (Q(0), Q(0))).free_index() is None
+        assert a.scale(f).degree <= 1
 
 
 class TestAffineCompare:
+    """The slice's sign path: a degree-one difference placed by its root."""
+
     @staticmethod
-    def resolver_at(point):
-        def resolve(index, threshold):
-            x = point[index]
+    def net_at(x):
+        def locate(threshold):
             if x < threshold:
                 return Order.LESS
             if x > threshold:
                 return Order.GREATER
             return Order.EQUAL
 
-        return resolve
+        return _SymNet(2, lambda d: _threshold_sign(d, locate))
 
-    @given(affine(2), affine(2), points)
+    @given(linear, linear, rationals)
     def test_matches_numeric_comparison(self, a, b, x):
-        d = (a - b)
-        live = [i for i, c in enumerate(d.coeffs) if c != 0]
-        if len(live) > 1:
-            with pytest.raises(ValueError):
-                affine_compare(a, b, self.resolver_at(x))
-            return
-        got = affine_compare(a, b, self.resolver_at(x))
+        got = self.net_at(x).sign(a - b)
         va, vb = a.eval(x), b.eval(x)
         want = Order.LESS if va < vb else Order.GREATER if va > vb else Order.EQUAL
         assert got is want
 
     def test_constant_comparison_skips_resolver(self):
-        def boom(index, threshold):
+        def boom(threshold):
             raise AssertionError("resolver must not be called")
 
-        a = AffineValue.constant(2, nparams=1)
-        b = AffineValue.constant(3, nparams=1)
-        assert affine_compare(a, b, boom) is Order.LESS
+        net = _SymNet(2, lambda d: _threshold_sign(d, boom))
+        assert net.sign(PolyValue.constant(2) - PolyValue.constant(3)) is Order.LESS
+        parallel = PolyValue((Q(5), Q(2))) - PolyValue((Q(1), Q(2)))
+        assert net.sign(parallel) is Order.GREATER
+        assert net.sign(PolyValue((Q(1), Q(2))) - PolyValue((Q(1), Q(2)))) is Order.EQUAL
 
 
 class TestPolyValue:
