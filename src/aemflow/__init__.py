@@ -41,7 +41,6 @@ from .instance import (
 )
 from .ksets import solve_integer_constant, solve_k_constant
 from .oracles import oracle_concave_single, oracle_fractional, oracle_integer
-from .parametric import solve_simple_constant
 from .profile import BreakpointProfile, breakpoint_profile
 from .randgen import generate_random
 from .values import DeviationFn, PolyValue, simplest_rational_in
@@ -88,7 +87,6 @@ __all__ = [
     "solve_concave_single",
     "solve_integer_constant",
     "solve_k_constant",
-    "solve_simple_constant",
     "write_instance",
     "write_result",
     "x3c_no_instance",

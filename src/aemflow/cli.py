@@ -37,10 +37,9 @@ from .gadgets import (
     x3c_yes_instance,
 )
 from .graph import FlowAssignment
-from .instance import FEvaluator, Instance, SolveResult
+from .instance import Instance, SolveResult
 from .ksets import solve_integer_constant, solve_k_constant
 from .oracles import DEFAULT_BUDGET, oracle_fractional, oracle_integer
-from .parametric import solve_simple_constant
 from .profile import breakpoint_profile
 from .randgen import DEVIATION_KINDS, generate_random
 
@@ -62,33 +61,17 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
-def _plain_maxflow(inst: Instance) -> SolveResult:
-    s = FEvaluator(inst).sample(())
-    assert s.feasible
-    return SolveResult((), s.value, FlowAssignment(s.flows, s.value), s.report)
-
-
 def _dispatch_solve(inst: Instance, integer: bool, method: str) -> SolveResult:
-    const = all(hs.deviation.is_constant_shift for hs in inst.sets)
-    if integer:
-        if method == "concave":
-            raise UnsupportedDeviation("the concave solver has no integer mode")
-        if inst.k == 0:
-            return _plain_maxflow(inst)
-        if not const:
-            raise UnsupportedDeviation(
-                "integer solving supports constant-shift deviations only"
-            )
-        return solve_integer_constant(inst)
     if method == "concave":
+        if integer:
+            raise UnsupportedDeviation("the concave solver has no integer mode")
         return solve_concave_single(inst)
-    if inst.k == 0:
-        return _plain_maxflow(inst)
-    if const:
-        if inst.k == 1:
-            return solve_simple_constant(inst)[0]
-        return solve_k_constant(
-            inst, method="parametric" if method == "parametric" else "auto"
+    if all(hs.deviation.is_constant_shift for hs in inst.sets):
+        solve = solve_integer_constant if integer else solve_k_constant
+        return solve(inst, method)
+    if integer:
+        raise UnsupportedDeviation(
+            "integer solving supports constant-shift deviations only"
         )
     if method == "parametric":
         raise UnsupportedDeviation(
@@ -109,50 +92,17 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _violations(inst: Instance, values: Sequence[Fraction]) -> list[str]:
-    g = inst.graph
-    out = []
-    for e, f in enumerate(values):
-        if f < 0:
-            out.append(f"violation capacity edge {e} flow {f} below 0")
-        elif f > inst.capacities[e]:
-            out.append(
-                f"violation capacity edge {e} flow {f} "
-                f"above {inst.capacities[e]}"
-            )
-    for v in range(g.n):
-        if v in (g.source, g.sink):
-            continue
-        net = sum((values[e] for e in g.out_edges(v)), Fraction(0)) - sum(
-            (values[e] for e in g.in_edges(v)), Fraction(0)
-        )
-        if net != 0:
-            out.append(f"violation conservation node {v} net {net}")
-    for i, hs in enumerate(inst.sets):
-        fmin = min(values[e] for e in hs.edges)
-        cap = hs.deviation(fmin)
-        for e in hs.edges:
-            if values[e] > cap:
-                out.append(
-                    f"violation homologous set {i} edge {e} flow {values[e]} "
-                    f"above {cap} allowed by the set minimum {fmin}"
-                )
-    return out
-
-
 def _cmd_verify(args) -> int:
     inst = parse_instance(_read(args.file))
     values = parse_flow(_read(args.flowfile), inst.m)
-    problems = _violations(inst, values)
-    if problems:
-        for p in problems:
-            print(p)
-        return 1
     g = inst.graph
-    net_s = sum((values[e] for e in g.out_edges(g.source)), Fraction(0)) - sum(
-        (values[e] for e in g.in_edges(g.source)), Fraction(0)
-    )
-    print(f"ok value {net_s}")
+    flow = FlowAssignment(values, g.net_outflow(values, g.source))
+    problems = list(inst.violations(flow))
+    for p in problems:
+        print(p)
+    if problems:
+        return 1
+    print(f"ok value {flow.flow_value}")
     return 0
 
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InternalError, UnsupportedDeviation, ValidationError, require
-from .graph import FlowAssignment
 from .instance import FEvaluator, Instance, SolveResult
 from .parametric import _PinnedAt, symbolic_max_flow
 from .values import Order, PolyValue, poly_roots, simplest_rational_in
@@ -170,7 +169,7 @@ def solve_concave_single(inst: Instance) -> SolveResult:
 
     fval(_ZERO)
     if edge == 0:
-        return _result_at(inst, ev, _ZERO)
+        return ev.result((_ZERO,))
 
     members = set(inst.sets[0].edges)
     splits = {_ZERO, edge}
@@ -239,12 +238,5 @@ def solve_concave_single(inst: Instance) -> SolveResult:
                 )
     best_v = max(vals.values())
     best_x = min(x for x, v in vals.items() if v == best_v)
-    return _result_at(inst, ev, best_x)
+    return ev.result((best_x,))
 
-
-def _result_at(inst: Instance, ev: FEvaluator, x: Fraction) -> SolveResult:
-    s = ev.sample((x,))
-    require(s.feasible, "concave optimum is infeasible")
-    return SolveResult(
-        (x,), s.value, FlowAssignment(s.flows, s.value), s.report
-    )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ValidationError
 
@@ -87,6 +87,12 @@ class Graph:
 
     def in_edges(self, v: int) -> list[int]:
         return self._in[v]
+
+    def net_outflow(self, values: Sequence[Fraction], v: int) -> Fraction:
+        """Flow leaving v minus flow entering it, under per-edge `values`."""
+        return sum((values[e] for e in self._out[v]), Fraction(0)) - sum(
+            (values[e] for e in self._in[v]), Fraction(0)
+        )
 
     def subdivide_edge(self, eid: int, count: int, name_hint: str = "split") -> list[int]:
         """Replace edge `eid` by a chain of `count` segments.
@@ -180,28 +186,26 @@ class FlowAssignment:
     values: tuple[Fraction, ...]
     flow_value: Fraction
 
+    def violations(self, graph: Graph, bounds: CapacityBounds) -> Iterator[str]:
+        """Every bound violation by edge id, then every conservation one."""
+        for e, f in enumerate(self.values):
+            if f < bounds.lower[e]:
+                yield f"violation capacity edge {e} flow {f} below {bounds.lower[e]}"
+            elif f > bounds.upper[e]:
+                yield f"violation capacity edge {e} flow {f} above {bounds.upper[e]}"
+        for v in range(graph.n):
+            if v not in (graph.source, graph.sink):
+                net = graph.net_outflow(self.values, v)
+                if net != 0:
+                    yield f"violation conservation node {v} net {net}"
+
     def validate(self, graph: Graph, bounds: CapacityBounds) -> None:
-        """Raise ValidationError on any conservation or bound violation."""
+        """Raise ValidationError on the first conservation or bound violation."""
         if len(self.values) != graph.m:
             raise ValidationError("flow has wrong number of edges")
-        for e, f in enumerate(self.values):
-            if not bounds.lower[e] <= f <= bounds.upper[e]:
-                raise ValidationError(
-                    f"edge {e}: flow {f} outside [{bounds.lower[e]}, {bounds.upper[e]}]"
-                )
-        for v in range(graph.n):
-            if v in (graph.source, graph.sink):
-                continue
-            net = sum((self.values[e] for e in graph.out_edges(v)), Fraction(0)) - sum(
-                (self.values[e] for e in graph.in_edges(v)), Fraction(0)
-            )
-            if net != 0:
-                raise ValidationError(
-                    f"conservation violated at node {graph.node_name(v)!r}: net {net}"
-                )
-        net_s = sum(
-            (self.values[e] for e in graph.out_edges(graph.source)), Fraction(0)
-        ) - sum((self.values[e] for e in graph.in_edges(graph.source)), Fraction(0))
+        for problem in self.violations(graph, bounds):
+            raise ValidationError(problem)
+        net_s = graph.net_outflow(self.values, graph.source)
         if net_s != self.flow_value:
             raise ValidationError(
                 f"flow value {self.flow_value} does not match net outflow {net_s} at source"

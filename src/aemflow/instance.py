@@ -20,7 +20,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .cuts import CutReport, SetCrossing
 from .errors import Infeasible, ValidationError, require
@@ -162,18 +162,29 @@ class Instance:
         )
         return CutReport(s_side, const, crossings)
 
-    def check_flow(self, flow: FlowAssignment) -> None:
-        """Full feasibility check including the homologous conditions."""
-        flow.validate(self.graph, CapacityBounds.from_uppers(self.capacities))
+    def violations(self, flow: FlowAssignment) -> Iterator[str]:
+        """Every violation of `flow`: capacity, then conservation, then sets."""
+        yield from flow.violations(
+            self.graph, CapacityBounds.from_uppers(self.capacities)
+        )
+        yield from self._set_violations(flow.values)
+
+    def _set_violations(self, values: Sequence[Fraction]) -> Iterator[str]:
         for i, hs in enumerate(self.sets):
-            fmin = min(flow.values[e] for e in hs.edges)
+            fmin = min(values[e] for e in hs.edges)
             cap = hs.deviation(fmin)
             for e in hs.edges:
-                if flow.values[e] > cap:
-                    raise ValidationError(
-                        f"homologous set {i}: edge {e} carries {flow.values[e]}, "
+                if values[e] > cap:
+                    yield (
+                        f"violation homologous set {i} edge {e} flow {values[e]} "
                         f"above {cap} allowed by the set minimum {fmin}"
                     )
+
+    def check_flow(self, flow: FlowAssignment) -> None:
+        """Raise ValidationError on the first violation of `violations`."""
+        flow.validate(self.graph, CapacityBounds.from_uppers(self.capacities))
+        for problem in self._set_violations(flow.values):
+            raise ValidationError(problem)
 
     def __eq__(self, other) -> bool:
         # Structural equality; node names are display labels and the file
@@ -301,6 +312,13 @@ class FEvaluator:
             out = FSample(True, value, report, flows)
         self._cache[key] = out
         return out
+
+    def result(self, lam: Sequence[Fraction]) -> SolveResult:
+        """The solve result at `lam`, which a solver found optimal."""
+        lam = tuple(Fraction(x) for x in lam)
+        s = self.sample(lam)
+        require(s.feasible, "the solver's optimum is infeasible")
+        return SolveResult(lam, s.value, FlowAssignment(s.flows, s.value), s.report)
 
 
 @dataclass(frozen=True)

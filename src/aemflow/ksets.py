@@ -19,7 +19,7 @@ The bracket never needs to shrink to a point.  Every candidate optimum is
 a rational whose denominator is bounded by the instance data (it solves a
 small integer-slope linear system), so once the bracket is shorter than
 the minimal spacing to the simplest rational inside it, that rational is
-the optimum exactly.  A final pair of verification probes asserts the
+the optimum exactly.  A final pair of verification probes checks the
 one-sided optimality conditions.
 
 Integer optima reuse the fractional solution: for each coordinate take
@@ -33,8 +33,7 @@ from fractions import Fraction
 from itertools import product
 from math import ceil, factorial, floor, lcm
 
-from .errors import Infeasible, UnsupportedDeviation, ValidationError
-from .graph import FlowAssignment
+from .errors import Infeasible, UnsupportedDeviation, ValidationError, require
 from .instance import FEvaluator, Instance, SolveResult
 from .parametric import Slice
 from .values import simplest_rational_in
@@ -76,7 +75,7 @@ def _pin_solve(
     all-zero point guarantees the feasible projection starts at zero.
     """
     free = [i for i in range(inst.k) if i not in pinned]
-    assert free
+    require(free, "no free coordinate left to solve")
     if len(free) == 1:
         try:
             opt = Slice(inst, free[0], pinned, ev).solve()
@@ -107,7 +106,7 @@ def _pin_solve(
         # strictly interior probe pair works for the narrowing arguments.
         x1 = simplest_rational_in(p + 2 * w / 3, p + 4 * w / 3)
         x2 = simplest_rational_in(q - 4 * w / 3, q - 2 * w / 3)
-        assert p < x1 < x2 < q
+        require(p < x1 < x2 < q, "probes must sit strictly inside the bracket")
         r1, r2 = hval(x1), hval(x2)
         gap = x2 - x1
         xm = simplest_rational_in(x1 + gap / 3, x2 - gap / 3)
@@ -124,7 +123,7 @@ def _pin_solve(
                 p, q = x1, x2
                 continue
             fp, fq = hval(p) is not None, hval(q) is not None
-            assert not (fp and fq), "interval region cannot skip a probe"
+            require(not (fp and fq), "interval region cannot skip a probe")
             if fp:
                 q = x1
                 continue
@@ -155,7 +154,7 @@ def _pin_solve(
             if witness is None:
                 return None
             w = witness[i]
-            assert w != x1 and w != x2
+            require(w != x1 and w != x2, "feasibility witness lands on a probe")
             if w < x1:
                 q = x1
             elif w > x2:
@@ -163,7 +162,7 @@ def _pin_solve(
             else:
                 p, q = x1, x2
         if r1 is None:
-            assert not anchored, "feasible projection must start at zero"
+            require(not anchored, "feasible projection must start at zero")
             p = x1
             continue
         if r2 is None:
@@ -176,34 +175,28 @@ def _pin_solve(
             q = x2
         else:
             rm = hval(xm)
-            assert rm is not None
+            require(rm is not None, "midpoint between feasible probes is infeasible")
             vm = rm[1]
-            assert vm >= v1, "midpoint below equal probes on a concave curve"
+            require(vm >= v1, "midpoint below equal probes on a concave curve")
             if vm > v1:
                 p, q = x1, x2
             else:
                 # Flat across both probes: the top of a concave function,
                 # so the smallest maximizer is at or before the left probe.
                 q = x1
-        assert p <= q
+        require(p <= q, "bracket endpoints out of order")
 
     out = hval(r)
-    assert out is not None, "lattice rounding left the feasible region"
+    require(out is not None, "lattice rounding left the feasible region")
     delta = Fraction(1, 2 * bound * r.denominator)
     if r > 0:
         left = hval(r - delta)
-        assert left is None or left[1] < out[1], "smaller maximizer exists"
+        require(left is None or left[1] < out[1], "smaller maximizer exists")
     if r + delta <= inst.u_R(i):
         right = hval(r + delta)
-        assert right is None or right[1] <= out[1], "larger value to the right"
+        require(right is None or right[1] <= out[1], "larger value to the right")
     assign, value = out
     return {**assign, i: r}, value
-
-
-def _result_at(inst: Instance, ev: FEvaluator, lam: tuple[Fraction, ...]) -> SolveResult:
-    s = ev.sample(lam)
-    assert s.feasible
-    return SolveResult(lam, s.value, FlowAssignment(s.flows, s.value), s.report)
 
 
 def _require_shifts(inst: Instance) -> None:
@@ -225,22 +218,17 @@ def solve_k_constant(inst: Instance, method: str = "auto") -> SolveResult:
     _require_shifts(inst)
     ev = FEvaluator(inst)
     if inst.k == 0:
-        s = ev.sample(())
-        assert s.feasible
-        return SolveResult((), s.value, FlowAssignment(s.flows, s.value), s.report)
+        return ev.result(())
     if inst.k == 1:
-        opt = Slice(inst, 0, {}, ev).solve()
-        return SolveResult(
-            (opt.x,), opt.value, FlowAssignment(opt.flows, opt.value), opt.report
-        )
+        return ev.result((Slice(inst, 0, {}, ev).solve().x,))
     if method == "auto" and inst.k >= 3:
         from .lp import solve_lp_constant
 
         return solve_lp_constant(inst)
     assign, value = _pin_solve(inst, ev, {}, True)
     lam = tuple(assign[i] for i in range(inst.k))
-    out = _result_at(inst, ev, lam)
-    assert out.opt_value == value
+    out = ev.result(lam)
+    require(out.opt_value == value, "nested search value disagrees with its flow")
     return out
 
 
@@ -270,5 +258,5 @@ def solve_integer_constant(inst: Instance, method: str = "auto") -> SolveResult:
             continue
         if best is None or s.value > best_val:
             best, best_val = cand, s.value
-    assert best is not None, "the all-zero vector is always feasible"
-    return _result_at(inst, ev, best)
+    require(best is not None, "the all-zero vector is always feasible")
+    return ev.result(best)

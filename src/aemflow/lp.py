@@ -32,7 +32,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import UnsupportedDeviation, require
-from .graph import FlowAssignment
 from .instance import FEvaluator, Instance, SolveResult
 
 __all__ = ["solve_lp_constant", "feasible_completion"]
@@ -249,11 +248,9 @@ def solve_lp_constant(inst: Instance) -> SolveResult:
         pins.append((m + i, xs[m + i]))
 
     lam = tuple(val for _, val in pins)
-    ev = FEvaluator(inst)
-    s = ev.sample(lam)
-    require(s.feasible, "the canonical parameter vector must be feasible")
-    require(s.value == value, "flow recomputation must match the program")
-    return SolveResult(lam, s.value, FlowAssignment(s.flows, s.value), s.report)
+    out = FEvaluator(inst).result(lam)
+    require(out.opt_value == value, "flow recomputation must match the program")
+    return out
 
 
 def feasible_completion(

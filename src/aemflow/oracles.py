@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import product
 from math import floor, lcm
 
-from .errors import BudgetExceeded, ValidationError
+from .errors import BudgetExceeded, ValidationError, require
 from .instance import FEvaluator, Instance
 from .maxflow import _aux_net, _Net
 from .values import simplest_rational_in
@@ -100,7 +100,7 @@ def _best_over(inst: Instance, grids: list[list[Fraction]], budget: int):
         v = _int_value(n, pairs, s, t, lowers, uppers)
         if v is not None and (best is None or v > best):
             best = v
-    assert best is not None, "the all-zero parameter vector is feasible"
+    require(best is not None, "the all-zero parameter vector is feasible")
     return best, scale
 
 
@@ -175,7 +175,7 @@ def oracle_integer(inst: Instance, budget: int = DEFAULT_BUDGET) -> int:
         v = _int_value(g.n, pairs, g.source, g.sink, lowers, uppers)
         if v is not None and (best is None or v > best):
             best = v
-    assert best is not None, "the all-zero parameter vector is feasible"
+    require(best is not None, "the all-zero parameter vector is feasible")
     return best
 
 
@@ -205,7 +205,7 @@ def oracle_concave_single(
 
     if top == 0:
         v = val(Fraction(0))
-        assert v is not None
+        require(v is not None, "the zero parameter is feasible")
         return Fraction(0), v
     # Grid pass: locate the feasibility edge between consecutive points.
     steps = 16
@@ -234,7 +234,7 @@ def oracle_concave_single(
         x1 = simplest_rational_in(p + 2 * w / 3, p + 4 * w / 3)
         x2 = simplest_rational_in(q - 4 * w / 3, q - 2 * w / 3)
         v1, v2 = val(x1), val(x2)
-        assert v1 is not None and v2 is not None
+        require(v1 is not None and v2 is not None, "probe left the feasible prefix")
         if v1 < v2:
             p = x1
         else:

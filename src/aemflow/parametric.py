@@ -51,8 +51,7 @@ from .errors import (
     ValidationError,
     require,
 )
-from .graph import FlowAssignment
-from .instance import FEvaluator, FSample, Instance, SolveResult
+from .instance import FEvaluator, FSample, Instance
 from .maxflow import deficiency_arcs
 from .values import Order, PolyValue
 
@@ -60,7 +59,6 @@ __all__ = [
     "Slice",
     "SliceOpt",
     "resolve_comparison",
-    "solve_simple_constant",
 ]
 
 _ZERO = Fraction(0)
@@ -73,8 +71,6 @@ SignOracle = Callable[[PolyValue], Order]
 class SliceOpt(NamedTuple):
     x: Fraction
     value: Fraction
-    flows: tuple[Fraction, ...]
-    report: object
 
 
 class _PinnedAt(Exception):
@@ -296,7 +292,7 @@ class Slice:
     # -- parametric solve ----------------------------------------------------
 
     def solve(self) -> SliceOpt:
-        """Smallest maximizer of F along the slice, with flow and cut.
+        """Smallest maximizer of F along the slice, and its value.
 
         Needs an affine deviation on the free set; nonlinear shapes go
         through the dedicated concave solver.
@@ -365,7 +361,7 @@ class Slice:
     def _finish(self, x: Fraction) -> SliceOpt:
         s = self.sample(x)
         require(s.feasible, "slice optimum is infeasible")
-        return SliceOpt(x, s.value, s.flows, s.report)
+        return SliceOpt(x, s.value)
 
 
 def _threshold_sign(d: PolyValue, locate: Callable[[Fraction], Order]) -> Order:
@@ -539,26 +535,3 @@ def resolve_comparison(
             raise ValidationError("fixed values required when several sets exist")
         fixed = {}
     return Slice(inst, set_index, fixed).resolve(Fraction(lam))
-
-
-def solve_simple_constant(inst: Instance):
-    """Exact optimum for one homologous set with a constant-shift deviation.
-
-    Returns the solve result together with the full breakpoint profile of
-    the value function, computed on the same memoized evaluator.
-    """
-    if inst.k != 1:
-        raise ValidationError("expects exactly one homologous set")
-    if not inst.sets[0].deviation.is_constant_shift:
-        raise UnsupportedDeviation(
-            "constant-shift deviation required; use the general entry points"
-        )
-    sl = Slice(inst, 0, {})
-    opt = sl.solve()
-    res = SolveResult(
-        (opt.x,), opt.value, FlowAssignment(opt.flows, opt.value), opt.report
-    )
-    from .profile import breakpoint_profile
-
-    prof = breakpoint_profile(inst, _slice=sl)
-    return res, prof

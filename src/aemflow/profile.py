@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UnsupportedDeviation, ValidationError
+from .errors import InternalError, UnsupportedDeviation, ValidationError, require
 from .instance import Instance
 from .parametric import Slice
 
@@ -59,7 +59,7 @@ def _certified_right_slope(sl: Slice, x: Fraction, bf: Fraction) -> Fraction:
         if sp.report.left_slope(sl.free, p) == chord:
             return chord
         eps /= 16
-    raise AssertionError("right slope probe failed to certify")
+    raise InternalError("right slope probe failed to certify")
 
 
 def _piece_end(sl: Slice, x: Fraction, sigma: Fraction, bf: Fraction) -> Fraction:
@@ -73,14 +73,14 @@ def _piece_end(sl: Slice, x: Fraction, sigma: Fraction, bf: Fraction) -> Fractio
         # Tangent of the cut at y stays above F, the piece line stays
         # above F too, so their crossing brackets the breakpoint from the
         # right and strictly improves y.
-        assert m < sigma
+        require(m < sigma, "cut tangent does not fall below the piece slope")
         y_new = (sy.value - m * y - fx + sigma * x) / (sigma - m)
-        assert x < y_new < y
+        require(x < y_new < y, "breakpoint candidate left its bracket")
         y = y_new
-    raise AssertionError("piece end search failed to converge")
+    raise InternalError("piece end search failed to converge")
 
 
-def breakpoint_profile(inst: Instance, _slice: Slice | None = None) -> BreakpointProfile:
+def breakpoint_profile(inst: Instance) -> BreakpointProfile:
     """All breakpoints of F for a one-set, constant-shift instance."""
     if inst.k != 1:
         raise ValidationError("breakpoint profile expects exactly one homologous set")
@@ -88,23 +88,23 @@ def breakpoint_profile(inst: Instance, _slice: Slice | None = None) -> Breakpoin
         raise UnsupportedDeviation(
             "breakpoint profile needs a constant-shift deviation"
         )
-    sl = _slice if _slice is not None else Slice(inst, 0, {})
+    sl = Slice(inst, 0, {})
     af, bf = sl.feasible_interval()
-    assert af == 0, "zero is always routable with a single set"
+    require(af == 0, "zero is always routable with a single set")
     pts = [Fraction(0)]
     vals = [sl.sample(Fraction(0)).value]
     slopes: list[Fraction] = []
     x = Fraction(0)
     limit = 2 * inst.m + 4
     while x < bf:
-        assert len(slopes) <= limit, "more pieces than cuts can produce"
+        require(len(slopes) <= limit, "more pieces than cuts can produce")
         sigma = _certified_right_slope(sl, x, bf)
         end = _piece_end(sl, x, sigma, bf)
         slopes.append(sigma)
         pts.append(end)
         vals.append(sl.sample(end).value)
         x = end
-    assert all(a > b for a, b in zip(slopes, slopes[1:])), "slopes must fall"
+    require(all(a > b for a, b in zip(slopes, slopes[1:])), "slopes must fall")
     argmax = pts[-1]
     for i, sgm in enumerate(slopes):
         if sgm <= 0:

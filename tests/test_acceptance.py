@@ -141,7 +141,7 @@ def test_c08_concave_solver_against_refined_oracle():
             4, 6, 1, cap_max=5, deviation_kind="const", seed=1600 + i
         )
         rc = af.solve_concave_single(inst)
-        rs, _ = af.solve_simple_constant(inst)
+        rs = af.solve_k_constant(inst)
         assert rc.opt_value == rs.opt_value, i
         assert rc.lambda_star == rs.lambda_star, i
 

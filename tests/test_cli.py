@@ -76,6 +76,22 @@ class TestSolve:
         assert rc == 0
         assert "value 9" in out.splitlines()
 
+    def test_integer_parametric_skips_the_simplex(self, capsys, files, monkeypatch):
+        write, _ = files
+        inst = af.generate_random(3, 3, 3, seed=2)
+        path = write("r.aemfp", af.write_instance(inst))
+        rc, out, _ = run(capsys, "solve", path, "--integer")
+        assert rc == 0
+        value = [line for line in out.splitlines() if line.startswith("value ")]
+
+        def no_simplex(inst):
+            raise AssertionError("the parametric method ran the simplex")
+
+        monkeypatch.setattr(lp, "solve_lp_constant", no_simplex)
+        rc, out, _ = run(capsys, "solve", path, "--integer", "--method", "parametric")
+        assert rc == 0
+        assert [line for line in out.splitlines() if line.startswith("value ")] == value
+
     def test_deterministic_bytes(self, capsys, files):
         write, _ = files
         path = write("p.aemfp", PARALLEL)
@@ -112,6 +128,14 @@ class TestExitCodes:
         rc, _, err = run(capsys, "solve", write("a.aemfp", AFFINE), "--integer")
         assert rc == 4
         assert "constant-shift" in err
+
+    def test_integer_concave_is_4(self, capsys, files):
+        write, _ = files
+        rc, _, err = run(
+            capsys, "solve", write("p.aemfp", PARALLEL), "--integer", "--method", "concave"
+        )
+        assert rc == 4
+        assert err.startswith("error UnsupportedDeviation")
 
     def test_oracle_budget_is_4(self, capsys, files):
         write, _ = files

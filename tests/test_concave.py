@@ -8,8 +8,8 @@ from aemflow.concave import solve_concave_single
 from aemflow.errors import UnsupportedDeviation, ValidationError
 from aemflow.graph import Graph
 from aemflow.instance import make_instance
+from aemflow.ksets import solve_k_constant
 from aemflow.oracles import oracle_concave_single
-from aemflow.parametric import solve_simple_constant
 from aemflow.randgen import generate_random
 from aemflow.values import DeviationFn
 
@@ -158,7 +158,7 @@ class TestAgainstOracle:
     def test_shift_equals_parametric(self, inst):
         assume(inst.sets[0].deviation.is_constant_shift)
         res = solve_concave_single(inst)
-        simple, _ = solve_simple_constant(inst)
+        simple = solve_k_constant(inst)
         assert res.lambda_star == simple.lambda_star
         assert res.opt_value == simple.opt_value
 

@@ -163,7 +163,7 @@ class TestRoundTrip:
 class TestFlowRecords:
     def test_reads_solver_output(self):
         inst = two_parallel()
-        res, _ = af.solve_simple_constant(inst)
+        res = af.solve_k_constant(inst)
         values = parse_flow(write_result(res), inst.m)
         assert values == res.flow.values
 
@@ -187,7 +187,7 @@ class TestFlowRecords:
 class TestResultText:
     def test_records_complete_and_ordered(self):
         inst = two_parallel()
-        res, _ = af.solve_simple_constant(inst)
+        res = af.solve_k_constant(inst)
         lines = write_result(res).splitlines()
         assert lines[0] == "lambda 0 4"
         assert lines[1] == "value 9"

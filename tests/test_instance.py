@@ -2,8 +2,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from aemflow.errors import Infeasible, ValidationError
-from aemflow.graph import Graph
+from aemflow.errors import Infeasible, InternalError, ValidationError
+from aemflow.graph import FlowAssignment, Graph
 from aemflow.instance import (
     FEvaluator,
     evaluate_F,
@@ -226,17 +226,25 @@ class TestFEvaluator:
         inst = two_parallel()
         ev = FEvaluator(inst)
         s = ev.sample((Q(4),))
-        from aemflow.graph import FlowAssignment
-
         flow = FlowAssignment(s.flows, s.value)
         inst.check_flow(flow)
+
+    def test_result_at_a_feasible_point(self):
+        inst = bottleneck()
+        res = FEvaluator(inst).result((Q(1),))
+        assert res.lambda_star == (1,)
+        assert res.opt_value == res.flow.flow_value == 2
+        res.verify(inst)
+
+    def test_result_at_an_infeasible_point_is_internal(self):
+        # Two homologous edges each forced to carry 2 behind a cap-3 edge.
+        with pytest.raises(InternalError, match="infeasible"):
+            FEvaluator(bottleneck()).result((Q(2),))
 
 
 class TestCheckFlow:
     def test_homologous_violation_named(self):
         inst = two_parallel(c=1)
-        from aemflow.graph import FlowAssignment
-
         # spread 4 vs 9 exceeds shift 1
         bad = FlowAssignment((Q(4), Q(9)), Q(13))
         with pytest.raises(ValidationError, match="homologous set 0"):
@@ -244,6 +252,20 @@ class TestCheckFlow:
 
     def test_good_flow_accepted(self):
         inst = two_parallel(c=1)
-        from aemflow.graph import FlowAssignment
-
         inst.check_flow(FlowAssignment((Q(4), Q(5)), Q(9)))
+
+    def test_violations_in_order(self):
+        inst = bottleneck()
+        # Edge 0 carries 4 over its cap 3, node v sends out 1 more than it
+        # takes in, and the set spread 1 vs 4 exceeds shift 0.
+        flow = FlowAssignment((Q(4), Q(1), Q(4)), Q(4))
+        first = "violation capacity edge 0 flow 4 above 3"
+        assert list(inst.violations(flow)) == [
+            first,
+            "violation conservation node 1 net 1",
+            "violation homologous set 0 edge 2 flow 4 above 1 "
+            "allowed by the set minimum 1",
+        ]
+        with pytest.raises(ValidationError) as exc:
+            inst.check_flow(flow)
+        assert str(exc.value) == first

@@ -107,10 +107,10 @@ class TestConcave:
             oracle_concave_single(single_edge())
 
     def test_shift_instance_matches_exact_solver(self):
-        from aemflow.parametric import solve_simple_constant
+        from aemflow.ksets import solve_k_constant
 
         inst = two_parallel()
-        res, _ = solve_simple_constant(inst)
+        res = solve_k_constant(inst)
         lam, value = oracle_concave_single(inst)
         assert value <= res.opt_value
         assert res.opt_value - value <= Q(1, 2**20)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from aemflow.errors import Infeasible, UnsupportedDeviation, ValidationError
 from aemflow.graph import Graph
 from aemflow.instance import FEvaluator, make_instance
-from aemflow.parametric import Slice, resolve_comparison, solve_simple_constant
+from aemflow.ksets import solve_k_constant
+from aemflow.parametric import Slice, resolve_comparison
 from aemflow.profile import breakpoint_profile
 from aemflow.values import DeviationFn, Order
 
@@ -159,7 +160,7 @@ class TestSolve:
     )
     def test_known_optima(self, build, star, value):
         inst = build()
-        res, prof = solve_simple_constant(inst)
+        res, prof = solve_k_constant(inst), breakpoint_profile(inst)
         assert res.lambda_star == (star,)
         assert res.opt_value == value
         res.verify(inst)
@@ -168,7 +169,7 @@ class TestSolve:
 
     def test_huge_shift_behaves_like_plain_max_flow(self):
         inst = two_parallel(c=10)
-        res, _ = solve_simple_constant(inst)
+        res = solve_k_constant(inst)
         assert res.lambda_star == (0,)
         assert res.opt_value == 14
 
@@ -203,19 +204,21 @@ class TestSolve:
         g.source, g.sink = 0, 1
         inst = make_instance(g, [4], [([0], DeviationFn.affine(2, 1))])
         with pytest.raises(UnsupportedDeviation):
-            solve_simple_constant(inst)
+            solve_k_constant(inst)
+        with pytest.raises(UnsupportedDeviation):
+            breakpoint_profile(inst)
 
     def test_simple_entry_requires_single_set(self):
         with pytest.raises(ValidationError):
-            solve_simple_constant(two_stage())
+            breakpoint_profile(two_stage())
 
     def test_pinned_slice_optimum(self):
         opt = Slice(two_stage(), 1, {0: Q(2)}).solve()
         assert (opt.x, opt.value) == (1, 4)
 
     def test_deterministic_across_fresh_solves(self):
-        a, _ = solve_simple_constant(two_parallel())
-        b, _ = solve_simple_constant(two_parallel())
+        a = solve_k_constant(two_parallel())
+        b = solve_k_constant(two_parallel())
         assert a.lambda_star == b.lambda_star
         assert a.opt_value == b.opt_value
         assert a.flow.values == b.flow.values
@@ -291,7 +294,7 @@ class TestAgainstDenseGrid:
     @given(small_instances())
     @settings(max_examples=20, deadline=None)
     def test_optimum_dominates_grid(self, inst):
-        res, prof = solve_simple_constant(inst)
+        res, prof = solve_k_constant(inst), breakpoint_profile(inst)
         star = res.lambda_star[0]
         res.verify(inst)
         assert prof.argmax == star
