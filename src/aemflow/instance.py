@@ -13,6 +13,10 @@ Sets must be pairwise disjoint.  Input sets that share edges are accepted
 and normalised by subdividing each shared edge into a chain of segments,
 one per owning set; conservation forces equal flow along the chain, so the
 constraints are preserved verbatim.
+
+An Instance is immutable after construction.  It is compiled once, on
+first use, into an `ArcTemplate`, so a sample of F scales only by the
+denominators of lam and Delta(lam) and runs the integer max-flow core.
 """
 
 from __future__ import annotations
@@ -20,12 +24,14 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .cuts import CutReport, SetCrossing
 from .errors import Infeasible, ValidationError, require
 from .graph import CapacityBounds, FlowAssignment, Graph
-from .maxflow import bounded_max_flow_arcs
+from .maxflow import bounded_max_flow_int
 from .values import DeviationFn
 
 __all__ = [
@@ -75,8 +81,12 @@ class Instance:
     def m(self) -> int:
         return self.graph.m
 
+    @cached_property
+    def template(self) -> ArcTemplate:
+        return ArcTemplate(self)
+
     def u_R(self, i: int) -> Fraction:
-        return min(self.capacities[e] for e in self.sets[i].edges)
+        return self.template.u_R[i]
 
     def set_of_edge(self, e: int) -> int | None:
         return self._set_of_edge.get(e)
@@ -103,8 +113,9 @@ class Instance:
                         f"edge {e} appears in more than one homologous set"
                     )
                 seen.add(e)
+            top = min(self.capacities[e] for e in hs.edges)
             try:
-                hs.deviation.validate_on(Fraction(0), self.u_R(i))
+                hs.deviation.validate_on(Fraction(0), top)
             except ValueError as exc:
                 raise ValidationError(f"homologous set {i}: {exc}") from exc
 
@@ -117,11 +128,11 @@ class Instance:
                 f"expected {self.k} parameter values, got {len(lam)}"
             )
         out = []
-        for i, x in enumerate(lam):
+        for x, top in zip(lam, self.template.u_R):
             x = Fraction(x)
-            if not 0 <= x <= self.u_R(i):
+            if not 0 <= x <= top:
                 raise ValidationError(
-                    f"parameter {i} = {x} outside [0, {self.u_R(i)}]"
+                    f"parameter {len(out)} = {x} outside [0, {top}]"
                 )
             out.append(x)
         return tuple(out)
@@ -137,7 +148,11 @@ class Instance:
                 upper[e] = min(self.capacities[e], cap_i)
         return CapacityBounds(tuple(lower), tuple(upper))
 
-    def cut_report(self, s_side: frozenset[int], bounds: CapacityBounds) -> CutReport:
+    def cut_report(self, s_side: frozenset[int]) -> CutReport:
+        """The cut priced as a function of lam, memoised in the template."""
+        hit = self.template.cuts.get(s_side)
+        if hit is not None:
+            return hit
         const = Fraction(0)
         fwd_by_set: list[list[Fraction]] = [[] for _ in self.sets]
         bwd_by_set = [0] * self.k
@@ -151,16 +166,14 @@ class Instance:
                     const += self.capacities[e.id]
                 else:
                     fwd_by_set[i].append(self.capacities[e.id])
-            else:
-                if i is None:
-                    const -= bounds.lower[e.id]
-                else:
-                    bwd_by_set[i] += 1
+            elif i is not None:
+                bwd_by_set[i] += 1
         crossings = tuple(
             SetCrossing(tuple(fwd_by_set[i]), bwd_by_set[i], self.sets[i].deviation)
             for i in range(self.k)
         )
-        return CutReport(s_side, const, crossings)
+        out = self.template.cuts[s_side] = CutReport(s_side, const, crossings)
+        return out
 
     def violations(self, flow: FlowAssignment) -> Iterator[str]:
         """Every violation of `flow`: capacity, then conservation, then sets."""
@@ -203,6 +216,38 @@ class Instance:
 
     def __repr__(self) -> str:
         return f"Instance(n={self.n}, m={self.m}, k={self.k})"
+
+
+class ArcTemplate:
+    """What F needs of an instance that lam does not move, on integers.
+
+    `caps` are the capacities times their lcm denominator `den`.  `cuts`
+    memoises priced cuts by s side: plain edges never have a lower bound.
+    """
+
+    __slots__ = ("pairs", "den", "caps", "sets", "u_R", "cuts")
+
+    def __init__(self, inst: Instance):
+        self.pairs = [(e.tail, e.head) for e in inst.graph.edges]
+        self.den = lcm(*(c.denominator for c in inst.capacities))
+        self.caps = [int(c * self.den) for c in inst.capacities]
+        self.sets = [(hs.edges, hs.deviation) for hs in inst.sets]
+        self.u_R = tuple(min(inst.capacities[e] for e in hs.edges) for hs in inst.sets)
+        self.cuts: dict[frozenset[int], CutReport] = {}
+
+    def scaled_bounds(self, lam: Sequence[Fraction]) -> tuple[int, list[int], list[int]]:
+        """(d, lowers, uppers) at a checked `lam`; lam and Delta(lam) add to d."""
+        tops = [dev(x) for (_, dev), x in zip(self.sets, lam)]
+        d = lcm(self.den, *(x.denominator for x in lam), *(y.denominator for y in tops))
+        uppers = [c * (d // self.den) for c in self.caps]
+        lowers = [0] * len(uppers)
+        for (edges, _), x, y in zip(self.sets, lam, tops):
+            lo, hi = (v.numerator * (d // v.denominator) for v in (x, y))
+            for e in edges:
+                lowers[e] = lo
+                if hi < uppers[e]:
+                    uppers[e] = hi
+        return d, lowers, uppers
 
 
 def make_instance(
@@ -250,26 +295,24 @@ def make_instance(
 
 
 def _max_flow_at(
-    inst: Instance, lam: tuple[Fraction, ...]
+    inst: Instance, lam: Sequence[Fraction]
 ) -> tuple[Fraction, tuple[Fraction, ...], CutReport]:
-    """Max-flow value, edge flows and min-cut certificate at a checked `lam`.
+    """Max-flow value, edge flows and min-cut certificate at `lam`.
 
     Raises Infeasible when the implied lower bounds admit no flow.  The
     certificate is re-priced through the cut formula and must reproduce the
     flow value exactly; a mismatch would mean corrupted bookkeeping, so it
     is checked here rather than left to callers.
     """
-    bounds = inst.bounds_at(lam)
-    arcs = [
-        (e.tail, e.head, bounds.lower[e.id], bounds.upper[e.id])
-        for e in inst.graph.edges
-    ]
-    value, flows, s_side = bounded_max_flow_arcs(
-        inst.n, arcs, inst.graph.source, inst.graph.sink
+    lam, t, g = inst.check_lambda(lam), inst.template, inst.graph
+    d, lowers, uppers = t.scaled_bounds(lam)
+    value, flows, s_side = bounded_max_flow_int(
+        g.n, t.pairs, g.source, g.sink, lowers, uppers, d
     )
-    report = inst.cut_report(s_side, bounds)
+    value = Fraction(value, d)
+    report = inst.cut_report(s_side)
     require(report.capacity_at(lam) == value, "cut certificate mismatch")
-    return value, flows, report
+    return value, tuple(Fraction(f, d) for f in flows), report
 
 
 def evaluate_F(
@@ -279,7 +322,7 @@ def evaluate_F(
 
     Raises Infeasible when the implied lower bounds admit no flow.
     """
-    value, _, report = _max_flow_at(inst, inst.check_lambda(lam))
+    value, _, report = _max_flow_at(inst, lam)
     return value, report
 
 

@@ -52,10 +52,8 @@ def _lattice_bound(inst: Instance) -> int:
     the common denominator.  Hadamard-style overcounting is fine here: the
     bound only steers how far brackets shrink.
     """
-    dens = [c.denominator for c in inst.capacities]
-    for hs in inst.sets:
-        dens += [c.denominator for c in hs.deviation.poly.coeffs]
-    d = lcm(*dens) if dens else 1
+    coeffs = [c for hs in inst.sets for c in hs.deviation.poly.coeffs]
+    d = lcm(inst.template.den, *(c.denominator for c in coeffs))
     b = factorial(inst.k)
     for hs in inst.sets:
         b *= 2 * max(1, len(hs.edges))
@@ -199,12 +197,28 @@ def _pin_solve(
     return {**assign, i: r}, value
 
 
-def _require_shifts(inst: Instance) -> None:
+def _solve_on(ev: FEvaluator, method: str) -> SolveResult:
+    """`solve_k_constant` with every F sample through `ev`."""
+    inst = ev.inst
+    if method not in ("auto", "parametric"):
+        raise ValidationError(f"unknown method {method!r}")
     for i, hs in enumerate(inst.sets):
         if not hs.deviation.is_constant_shift:
-            raise UnsupportedDeviation(
-                f"set {i}: constant-shift deviation required here"
-            )
+            raise UnsupportedDeviation(f"set {i}: constant-shift deviation required here")
+    if inst.k == 0:
+        return ev.result(())
+    if inst.k == 1:
+        return ev.result((Slice(inst, 0, {}, ev).solve().x,))
+    if method == "auto" and inst.k >= 3:
+        from .lp import _lp_optimum
+
+        lam, value = _lp_optimum(inst)
+    else:
+        assign, value = _pin_solve(inst, ev, {}, True)
+        lam = tuple(assign[i] for i in range(inst.k))
+    out = ev.result(lam)
+    require(out.opt_value == value, "the optimum's flow disagrees with its value")
+    return out
 
 
 def solve_k_constant(inst: Instance, method: str = "auto") -> SolveResult:
@@ -213,23 +227,7 @@ def solve_k_constant(inst: Instance, method: str = "auto") -> SolveResult:
     ``method`` is ``auto`` (nested search up to two sets, exact linear
     programming beyond) or ``parametric`` (nested search at any depth).
     """
-    if method not in ("auto", "parametric"):
-        raise ValidationError(f"unknown method {method!r}")
-    _require_shifts(inst)
-    ev = FEvaluator(inst)
-    if inst.k == 0:
-        return ev.result(())
-    if inst.k == 1:
-        return ev.result((Slice(inst, 0, {}, ev).solve().x,))
-    if method == "auto" and inst.k >= 3:
-        from .lp import solve_lp_constant
-
-        return solve_lp_constant(inst)
-    assign, value = _pin_solve(inst, ev, {}, True)
-    lam = tuple(assign[i] for i in range(inst.k))
-    out = ev.result(lam)
-    require(out.opt_value == value, "nested search value disagrees with its flow")
-    return out
+    return _solve_on(FEvaluator(inst), method)
 
 
 def solve_integer_constant(inst: Instance, method: str = "auto") -> SolveResult:
@@ -237,12 +235,11 @@ def solve_integer_constant(inst: Instance, method: str = "auto") -> SolveResult:
 
     Rounds the fractional optimum coordinate-wise, evaluates every
     floor/ceiling corner that stays feasible together with the all-zero
-    vector, and keeps the lexicographically smallest argmax.
+    vector, and keeps the lexicographically smallest argmax.  The corners
+    reuse the fractional solve's evaluator and so its samples.
     """
-    base = solve_k_constant(inst, method)
-    if inst.k == 0:
-        return base
     ev = FEvaluator(inst)
+    base = _solve_on(ev, method)
     choices = []
     for i, x in enumerate(base.lambda_star):
         top = floor(inst.u_R(i))

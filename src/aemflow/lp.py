@@ -227,8 +227,8 @@ class _Program:
         return _simplex_min(objective, rows, rhs)
 
 
-def solve_lp_constant(inst: Instance) -> SolveResult:
-    """Lexicographically smallest optimum via exact simplex."""
+def _lp_optimum(inst: Instance) -> tuple[tuple[Fraction, ...], Fraction]:
+    """Lexicographically smallest optimal parameter vector and its value."""
     _check_affine(inst)
     prog = _Program(inst)
     m, k = inst.m, inst.k
@@ -246,8 +246,12 @@ def solve_lp_constant(inst: Instance) -> SolveResult:
         xs = prog.solve(obj, extra=value_pin, pins=pins)
         require(xs is not None, "value pin cannot cut off the optimum")
         pins.append((m + i, xs[m + i]))
+    return tuple(val for _, val in pins), value
 
-    lam = tuple(val for _, val in pins)
+
+def solve_lp_constant(inst: Instance) -> SolveResult:
+    """Lexicographically smallest optimum via exact simplex."""
+    lam, value = _lp_optimum(inst)
     out = FEvaluator(inst).result(lam)
     require(out.opt_value == value, "flow recomputation must match the program")
     return out

@@ -1,11 +1,15 @@
 """Maximum flow with lower and upper bounds, exact and deterministic.
 
-The engine is Edmonds-Karp on integers: rational bounds are scaled by the
-lcm of their denominators, so all augmentations are exact and the final
-values rescale back to rationals with no rounding anywhere.  Augmenting
-paths are shortest by edge count; the BFS scans arcs in ascending id order
-(insertion order), which fixes the path choice and makes every result,
-including the extracted min cut, a pure function of the input.
+The engine is Edmonds-Karp on integers.  Augmenting paths are shortest by
+edge count; the BFS scans arcs in ascending id order (insertion order),
+which fixes the path choice and makes every result, including the
+extracted min cut, a pure function of the input.
+
+The integer core is `bounded_max_flow_int` and `deficiency_int`.  Path
+choice depends only on which residuals are positive, so any common scale
+of the bounds gives the same flows and cuts: `instance.ArcTemplate` scales
+per sample by what moves, and the rational adapters `max_flow_arcs`,
+`bounded_max_flow_arcs` and `deficiency_arcs` by the lcm of all bounds.
 
 Lower bounds go through the usual circulation transformation: saturate
 every lower bound, route the resulting node imbalances through a
@@ -37,6 +41,10 @@ __all__ = [
 ]
 
 
+Pairs = Sequence[tuple[int, int]]
+Arcs = Sequence[tuple[int, int, Fraction, Fraction]]  # tail, head, lower, upper
+
+
 class FlowCut(NamedTuple):
     value: Fraction
     flows: tuple[Fraction, ...]
@@ -47,7 +55,6 @@ class DeficiencyReport(NamedTuple):
     deficiency: Fraction
     aux_s_side: frozenset[int]
     required: Fraction
-    return_cap: Fraction
     crosses_return: bool
 
 
@@ -125,39 +132,13 @@ class _Net:
         return frozenset(i for i, f in enumerate(seen) if f)
 
 
-def _scale(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    d = lcm(*(v.denominator for v in values)) if values else 1
-    return [int(v * d) for v in values], d
-
-
-def max_flow_arcs(
-    n: int, arcs: Sequence[tuple[int, int, Fraction]], s: int, t: int
-) -> FlowCut:
-    """Max s-t flow over arcs (tail, head, upper); lower bounds all zero."""
-    caps = [Fraction(c) for _, _, c in arcs]
-    ints, d = _scale(caps)
-    net = _Net(n)
-    ids = [net.add(u, v, c) for (u, v, _), c in zip(arcs, ints)]
-    value = net.max_flow(s, t)
-    flows = tuple(Fraction(net.cap[a ^ 1], d) for a in ids)
-    return FlowCut(Fraction(value, d), flows, net.reachable(s))
-
-
-def _aux_net(
-    n: int,
-    arcs: Sequence[tuple[int, int, Fraction, Fraction]],
-    s: int,
-    t: int,
-    d: int,
-    lowers: list[int],
-    uppers: list[int],
-):
+def _aux_net(n: int, pairs: Pairs, s: int, t: int, lowers: list[int], uppers: list[int]):
     """Circulation network: base arcs at u-l, imbalance arcs, t->s return arc."""
     sigma, tau = n, n + 1
     net = _Net(n + 2)
     base = []
     excess = [0] * n
-    for (u, v, _, _), l, c in zip(arcs, lowers, uppers):
+    for (u, v), l, c in zip(pairs, lowers, uppers):
         if l > c:
             raise ValidationError(f"arc ({u},{v}): lower bound exceeds upper")
         if l < 0:
@@ -178,67 +159,87 @@ def _aux_net(
     return net, base, helpers, ts, required, sigma, tau
 
 
-def bounded_max_flow_arcs(
-    n: int, arcs: Sequence[tuple[int, int, Fraction, Fraction]], s: int, t: int
-) -> FlowCut:
-    """Max s-t flow over arcs (tail, head, lower, upper).
+def bounded_max_flow_int(
+    n: int, pairs: Pairs, s: int, t: int, lowers: list[int], uppers: list[int], d: int
+) -> tuple[int, list[int], frozenset[int]]:
+    """Max s-t flow, edge flows (both in units of 1/d) and a min cut's s side.
 
-    Raises Infeasible when the lower bounds admit no flow at all.
+    Raises Infeasible, with the shortfall over d, when the lower bounds
+    admit no flow at all.
     """
-    all_bounds = [Fraction(x) for a in arcs for x in (a[2], a[3])]
-    _, d = _scale(all_bounds)
-    lowers = [int(Fraction(a[2]) * d) for a in arcs]
-    uppers = [int(Fraction(a[3]) * d) for a in arcs]
     if not any(lowers):
-        return max_flow_arcs(n, [(a[0], a[1], a[3]) for a in arcs], s, t)
+        net = _Net(n)
+        ids = [net.add(u, v, c) for (u, v), c in zip(pairs, uppers)]
+        value = net.max_flow(s, t)
+        return value, [net.cap[a ^ 1] for a in ids], net.reachable(s)
     net, base, helpers, ts, required, sigma, tau = _aux_net(
-        n, arcs, s, t, d, lowers, uppers
+        n, pairs, s, t, lowers, uppers
     )
     got = net.max_flow(sigma, tau)
     if got < required:
+        short = Fraction(required - got, d)
         raise Infeasible(
-            f"lower bounds unsatisfiable: circulation short by {Fraction(required - got, d)}",
-            context={"deficiency": Fraction(required - got, d)},
+            f"lower bounds unsatisfiable: circulation short by {short}",
+            context={"deficiency": short},
         )
     carried = net.cap[ts ^ 1]
     for a in helpers:
         net.disable(a)
     value = carried + net.max_flow(s, t)
-    flows = tuple(
-        Fraction(l + net.cap[a ^ 1], d) for l, a in zip(lowers, base)
-    )
-    s_side = net.reachable(s) & frozenset(range(n))
-    return FlowCut(Fraction(value, d), flows, s_side)
+    flows = [l + net.cap[a ^ 1] for l, a in zip(lowers, base)]
+    return value, flows, net.reachable(s) & frozenset(range(n))
 
 
-def deficiency_arcs(
-    n: int, arcs: Sequence[tuple[int, int, Fraction, Fraction]], s: int, t: int
+def deficiency_int(
+    n: int, pairs: Pairs, s: int, t: int, lowers: list[int], uppers: list[int], d: int
 ) -> DeficiencyReport:
-    """Shortfall of the circulation phase and its certifying cut.
+    """Shortfall of the circulation phase and its certifying cut, as rationals.
 
     The deficiency is the total lower bound the circulation cannot cover;
     zero means the bounds are satisfiable.  The reported node set is the
     super-source side of a min cut in the auxiliary network, restricted to
     the original nodes (the super-source itself is dropped).
     """
-    all_bounds = [Fraction(x) for a in arcs for x in (a[2], a[3])]
-    _, d = _scale(all_bounds)
-    lowers = [int(Fraction(a[2]) * d) for a in arcs]
-    uppers = [int(Fraction(a[3]) * d) for a in arcs]
-    net, base, helpers, ts, required, sigma, tau = _aux_net(
-        n, arcs, s, t, d, lowers, uppers
-    )
+    net, _, _, ts, required, sigma, tau = _aux_net(n, pairs, s, t, lowers, uppers)
     got = net.max_flow(sigma, tau)
     raw_side = net.reachable(sigma)
-    side = raw_side & frozenset(range(n))
-    crosses = t in raw_side and s not in raw_side
     return DeficiencyReport(
         Fraction(required - got, d),
-        side,
+        raw_side & frozenset(range(n)),
         Fraction(required, d),
-        Fraction(net.cap[ts] + net.cap[ts ^ 1], d),
-        crosses,
+        t in raw_side and s not in raw_side,
     )
+
+
+def _scale_arcs(arcs: Arcs):
+    """Pairs, the lcm d of all bound denominators, and lowers and uppers times d."""
+    bounds = [(Fraction(a[2]), Fraction(a[3])) for a in arcs]
+    d = lcm(*(x.denominator for b in bounds for x in b))
+    lowers, uppers = [int(b[0] * d) for b in bounds], [int(b[1] * d) for b in bounds]
+    return [(a[0], a[1]) for a in arcs], d, lowers, uppers
+
+
+def bounded_max_flow_arcs(n: int, arcs: Arcs, s: int, t: int) -> FlowCut:
+    """Max s-t flow over arcs (tail, head, lower, upper).
+
+    Raises Infeasible when the lower bounds admit no flow at all.
+    """
+    pairs, d, lowers, uppers = _scale_arcs(arcs)
+    value, flows, s_side = bounded_max_flow_int(n, pairs, s, t, lowers, uppers, d)
+    return FlowCut(Fraction(value, d), tuple(Fraction(f, d) for f in flows), s_side)
+
+
+def max_flow_arcs(
+    n: int, arcs: Sequence[tuple[int, int, Fraction]], s: int, t: int
+) -> FlowCut:
+    """Max s-t flow over arcs (tail, head, upper); lower bounds all zero."""
+    return bounded_max_flow_arcs(n, [(u, v, 0, c) for u, v, c in arcs], s, t)
+
+
+def deficiency_arcs(n: int, arcs: Arcs, s: int, t: int) -> DeficiencyReport:
+    """`deficiency_int` over arcs (tail, head, lower, upper) with rational bounds."""
+    pairs, d, lowers, uppers = _scale_arcs(arcs)
+    return deficiency_int(n, pairs, s, t, lowers, uppers, d)
 
 
 def max_flow_bounded(graph: Graph, bounds: CapacityBounds) -> tuple[FlowAssignment, CutReport]:

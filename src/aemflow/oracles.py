@@ -49,9 +49,8 @@ def _int_value(n, pairs, s, t, lowers, uppers):
         for (u, v), c in zip(pairs, uppers):
             net.add(u, v, c)
         return net.max_flow(s, t)
-    arcs = [(u, v, 0, 0) for u, v in pairs]
     net, _, helpers, ts, required, sigma, tau = _aux_net(
-        n, arcs, s, t, 1, lowers, uppers
+        n, pairs, s, t, lowers, uppers
     )
     if net.max_flow(sigma, tau) < required:
         return None

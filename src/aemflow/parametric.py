@@ -52,7 +52,7 @@ from .errors import (
     require,
 )
 from .instance import FEvaluator, FSample, Instance
-from .maxflow import deficiency_arcs
+from .maxflow import deficiency_int
 from .values import Order, PolyValue
 
 __all__ = [
@@ -109,13 +109,10 @@ class Slice:
         self._interval: tuple[Fraction, Fraction] | None = None
         self._resolutions: dict[Fraction, Order] = {}
         self._def_cache: dict[Fraction, tuple] = {}
-        dev = inst.sets[free].deviation
-        dens = [c.denominator for c in inst.capacities]
-        dens += [v.denominator for v in self.fixed.values()]
-        dens += [c.denominator for c in dev.poly.coeffs]
-        nums = [abs(c.numerator) for c in dev.poly.coeffs]
-        d = lcm(*dens) if dens else 1
-        n = max(nums + [1])
+        coeffs = inst.sets[free].deviation.poly.coeffs
+        dens = [v.denominator for v in [*self.fixed.values(), *coeffs]]
+        d = lcm(inst.template.den, *dens)
+        n = max([abs(c.numerator) for c in coeffs] + [1])
         # Denominator bound on kink positions; only the starting probe width
         # depends on it, correctness never does.
         self._eps_scale = 4 * inst.m * inst.m * d * d * n
@@ -131,62 +128,61 @@ class Slice:
     # -- feasibility interval ------------------------------------------------
 
     def _deficiency(self, x: Fraction):
+        """(report, d, lowers, uppers): the deficiency at x and its scaled bounds."""
         hit = self._def_cache.get(x)
         if hit is None:
-            inst = self.inst
-            bounds = inst.bounds_at(self.full_lambda(x))
-            arcs = [
-                (e.tail, e.head, bounds.lower[e.id], bounds.upper[e.id])
-                for e in inst.graph.edges
-            ]
-            rep = deficiency_arcs(inst.n, arcs, inst.graph.source, inst.graph.sink)
-            hit = (rep, bounds)
-            self._def_cache[x] = hit
+            inst, t, g = self.inst, self.inst.template, self.inst.graph
+            d, lowers, uppers = t.scaled_bounds(inst.check_lambda(self.full_lambda(x)))
+            rep = deficiency_int(g.n, t.pairs, g.source, g.sink, lowers, uppers, d)
+            hit = self._def_cache[x] = (rep, d, lowers, uppers)
         return hit
 
-    def _def_slope(self, x: Fraction, rep, bounds, right: bool) -> Fraction:
+    def _def_slope(self, x: Fraction, right: bool) -> Fraction:
         # Slope of a support line of the deficiency at x, taken from the
         # auxiliary min cut T: the deficiency equals sum of T's lower-bound
         # imbalance minus the capacity crossing out of T, an expression
         # affine in x except for the clamp min(u_r, Delta(x)) on free arcs.
         inst = self.inst
+        rep, d, lowers, uppers = self._deficiency(x)
         T = rep.aux_s_side
         require(not rep.crosses_return, "return arc in a minimum auxiliary cut")
         free_ids = set(inst.sets[self.free].edges)
         dev = inst.sets[self.free].deviation
         dx = dev(x)
         rate = dev.derivative_at(x)
-        slope = Fraction(0)
-        acc = Fraction(0)
-        for e in inst.graph.edges:
-            low = bounds.lower[e.id]
-            tin = e.tail in T
-            hin = e.head in T
+        slope = acc = 0
+        arcs = zip(inst.template.pairs, lowers, uppers)
+        for e, ((u, v), low, up) in enumerate(arcs):
+            tin = u in T
+            hin = v in T
             if hin:
                 acc += low
             if tin:
                 acc -= low
-            is_free = e.id in free_ids
+            is_free = e in free_ids
             if is_free:
                 if hin:
                     slope += 1
                 if tin:
                     slope -= 1
             if tin and not hin:
-                acc -= bounds.upper[e.id] - low
+                acc -= up - low
                 if is_free:
-                    u = inst.capacities[e.id]
-                    live = dx < u if right else dx <= u
+                    cap = inst.capacities[e]
+                    live = dx < cap if right else dx <= cap
                     slope -= (rate if live else _ZERO) - 1
-        require(acc == rep.deficiency, "support line misses the deficiency value")
+        require(
+            Fraction(acc, d) == rep.deficiency,
+            "support line misses the deficiency value",
+        )
         return slope
 
     def _def_root(self, x: Fraction, forward: bool) -> Fraction:
-        rep, bounds = self._deficiency(x)
+        rep = self._deficiency(x)[0]
         for _ in range(400):
             if rep.deficiency == 0:
                 return x
-            slope = self._def_slope(x, rep, bounds, right=forward)
+            slope = self._def_slope(x, right=forward)
             if forward:
                 if slope >= 0:
                     raise Infeasible(
@@ -205,7 +201,7 @@ class Slice:
                 require(slope > 0, "leftward root search lost its zero")
                 x = x - rep.deficiency / slope
                 require(x >= 0, "leftward root search passed zero")
-            rep, bounds = self._deficiency(x)
+            rep = self._deficiency(x)[0]
         raise InternalError("deficiency root search failed to converge")
 
     def feasible_interval(self) -> tuple[Fraction, Fraction]:

@@ -87,7 +87,7 @@ class TestSolve:
         def no_simplex(inst):
             raise AssertionError("the parametric method ran the simplex")
 
-        monkeypatch.setattr(lp, "solve_lp_constant", no_simplex)
+        monkeypatch.setattr(lp, "_lp_optimum", no_simplex)
         rc, out, _ = run(capsys, "solve", path, "--integer", "--method", "parametric")
         assert rc == 0
         assert [line for line in out.splitlines() if line.startswith("value ")] == value

@@ -1,3 +1,7 @@
+import itertools
+import random
+import warnings
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -6,9 +10,12 @@ from aemflow.errors import Infeasible, InternalError, ValidationError
 from aemflow.graph import FlowAssignment, Graph
 from aemflow.instance import (
     FEvaluator,
+    Instance,
     evaluate_F,
     make_instance,
 )
+from aemflow.maxflow import bounded_max_flow_arcs, deficiency_arcs
+from aemflow.parametric import Slice
 from aemflow.values import DeviationFn
 
 shift = DeviationFn.constant_shift
@@ -269,3 +276,105 @@ class TestCheckFlow:
         with pytest.raises(ValidationError) as exc:
             inst.check_flow(flow)
         assert str(exc.value) == first
+
+
+def _mixed_instance(seed):
+    """Fractional capacities, sets sharing edges, one deviation of each kind.
+
+    Returns the instance and whether `make_instance` had to subdivide an
+    edge shared between sets.  The quadratic deviation stays monotone and
+    above the identity on [0, 12].
+    """
+    rng = random.Random(seed)
+    n = rng.randint(3, 6)
+    g = Graph()
+    for _ in range(n):
+        g.add_node()
+    g.source, g.sink = 0, n - 1
+    for v in range(n - 1):
+        g.add_edge(v, v + 1)
+    while g.m < rng.randint(n + 1, 10):
+        u, v = rng.sample(range(n), 2)
+        g.add_edge(u, v)
+    caps = [Q(rng.randint(1, 12), rng.choice((1, 2, 3))) for _ in range(g.m)]
+    deviations = [
+        shift(Q(rng.randint(0, 4), 2)),
+        DeviationFn.affine(Q(rng.randint(3, 6), 3), Q(rng.randint(0, 2), 5)),
+        DeviationFn.polynomial((Q(1, 2), 2, Q(-1, 48))),
+    ]
+    sets = [
+        (rng.sample(range(g.m), rng.randint(1, 3)), dev)
+        for dev in deviations[: rng.randint(1, 3)]
+    ]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        inst = make_instance(g, caps, sets)
+    return inst, bool(caught)
+
+
+def _grid(inst):
+    """Parameter vectors over the box: 0, u_R and fractions in between."""
+    axes = [
+        sorted({Q(0), u, u / 2, u / 3, 2 * u / 3, u * Q(5, 7)})
+        for u in (inst.u_R(i) for i in range(inst.k))
+    ]
+    return list(itertools.product(*axes))
+
+
+class TestCompiledEvaluator:
+    """The integer F-evaluator against the public rational route."""
+
+    def test_sample_and_deficiency_match_the_rational_route(self):
+        feasible, subdivided, kinds = set(), set(), set()
+        for seed in range(25):
+            inst, split = _mixed_instance(seed)
+            subdivided.add(split)
+            kinds |= {hs.deviation.kind for hs in inst.sets}
+            # Prices cuts from its own, separate cache.
+            twin = Instance(inst.graph, inst.capacities, inst.sets)
+            g = inst.graph
+            free = seed % inst.k
+            for lam in _grid(inst):
+                b = inst.bounds_at(lam)
+                arcs = [
+                    (e.tail, e.head, b.lower[e.id], b.upper[e.id]) for e in g.edges
+                ]
+                rdef = deficiency_arcs(g.n, arcs, g.source, g.sink)
+                try:
+                    ref = bounded_max_flow_arcs(g.n, arcs, g.source, g.sink)
+                except Infeasible:
+                    ref = None
+                s = FEvaluator(inst).sample(lam)
+                assert s.feasible == (ref is not None) == (rdef.deficiency == 0)
+                feasible.add(s.feasible)
+                if ref is not None:
+                    assert (s.value, s.flows) == (ref.value, ref.flows)
+                    assert s.report.s_side == ref.s_side
+                    assert s.report == twin.cut_report(ref.s_side)
+                fixed = {i: x for i, x in enumerate(lam) if i != free}
+                rep = Slice(inst, free, fixed)._deficiency(lam[free])[0]
+                assert rep.deficiency == rdef.deficiency
+                assert rep.aux_s_side == rdef.aux_s_side
+                assert rep.required == rdef.required
+                assert rep.crosses_return == rdef.crosses_return
+        assert feasible == {True, False}
+        assert subdivided == {True, False}
+        assert kinds == {"shift", "affine", "poly"}
+
+    def test_tampered_cut_is_caught_on_the_next_sample(self):
+        inst = bottleneck()
+        lam = (Q(1),)
+        report = FEvaluator(inst).sample(lam).report
+        inst.template.cuts[report.s_side] = replace(
+            report, capacity_const=report.capacity_const + 1
+        )
+        with pytest.raises(InternalError, match="cut certificate"):
+            FEvaluator(inst).sample(lam)
+        with pytest.raises(InternalError, match="cut certificate"):
+            evaluate_F(inst, (Q(1, 2),))
+
+    def test_u_R_is_the_smallest_member_capacity(self):
+        inst, _ = _mixed_instance(3)
+        for i, hs in enumerate(inst.sets):
+            assert inst.u_R(i) == min(inst.capacities[e] for e in hs.edges)
+        assert inst.lambda_box() == [(0, inst.u_R(i)) for i in range(inst.k)]

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aemflow import instance
 from aemflow.errors import UnsupportedDeviation, ValidationError
 from aemflow.graph import Graph
 from aemflow.instance import FEvaluator, make_instance
 from aemflow.ksets import solve_integer_constant, solve_k_constant
+from aemflow.randgen import generate_random
 from aemflow.values import DeviationFn, simplest_rational_in
 
 shift = DeviationFn.constant_shift
@@ -272,3 +274,33 @@ class TestAgainstGrid:
                 assert s.value <= res.opt_value
                 if s.value == res.opt_value:
                     assert (Q(x), Q(y)) >= res.lambda_star
+
+
+class TestSharedEvaluator:
+    """The integer rounding reuses the fractional solve's F samples."""
+
+    @staticmethod
+    def _evaluated(monkeypatch, inst):
+        seen = []
+        real = instance._max_flow_at
+
+        def counting(inst, lam):
+            seen.append(tuple(Q(x) for x in lam))
+            return real(inst, lam)
+
+        monkeypatch.setattr(instance, "_max_flow_at", counting)
+        solve_integer_constant(inst).verify(inst)
+        monkeypatch.undo()
+        return seen
+
+    def test_no_point_is_evaluated_twice(self, monkeypatch):
+        for s in range(30):
+            inst = generate_random(6, 9, 2, seed=s)
+            seen = self._evaluated(monkeypatch, inst)
+            assert len(seen) == len(set(seen)), s
+
+    def test_lp_optimum_is_evaluated_once(self, monkeypatch):
+        inst = generate_random(5, 9, 3, seed=1)
+        seen = self._evaluated(monkeypatch, inst)
+        assert seen
+        assert len(seen) == len(set(seen))
