@@ -30,7 +30,7 @@ from .gadgets import (
     x3c_no_instance,
     x3c_yes_instance,
 )
-from .graph import CapacityBounds, Edge, FlowAssignment, Graph
+from .graph import Edge, FlowAssignment, Graph
 from .instance import (
     FEvaluator,
     HomologousSet,
@@ -51,7 +51,6 @@ __all__ = [
     "AemflowError",
     "BreakpointProfile",
     "BudgetExceeded",
-    "CapacityBounds",
     "CutReport",
     "DeviationFn",
     "Edge",

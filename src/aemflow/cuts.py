@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .graph import Graph
 from .values import DeviationFn
 
-__all__ = ["SetCrossing", "CutReport", "cut_edges"]
+__all__ = ["SetCrossing", "CutReport"]
 
 
 @dataclass(frozen=True)
@@ -76,17 +75,3 @@ class CutReport:
         rate = sc.deviation.derivative_at(lam_i)
         live = sum(1 for u in sc.forward_uppers if dx <= u)
         return live * rate - sc.backward_count
-
-
-def cut_edges(graph: Graph, s_side: frozenset[int]) -> tuple[list[int], list[int]]:
-    """Edge ids crossing the cut forward (tail inside) and backward."""
-    fwd: list[int] = []
-    bwd: list[int] = []
-    for e in graph.edges:
-        tin = e.tail in s_side
-        hin = e.head in s_side
-        if tin and not hin:
-            fwd.append(e.id)
-        elif hin and not tin:
-            bwd.append(e.id)
-    return fwd, bwd

@@ -1,4 +1,4 @@
-"""Directed multigraph model with exact rational capacity bounds.
+"""Directed multigraph model with exact rational edge flows.
 
 Nodes are dense integer ids with optional string names; edges are dense ids
 in insertion order.  Parallel edges are allowed (some constructions need
@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import ValidationError
 
-__all__ = ["Edge", "Graph", "CapacityBounds", "FlowAssignment"]
+__all__ = ["Edge", "Graph", "FlowAssignment"]
 
 
 class Edge(NamedTuple):
@@ -141,44 +141,6 @@ class Graph:
         return list(self._names)
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"capacity must be rational, got {type(x).__name__}")
-
-
-@dataclass(frozen=True)
-class CapacityBounds:
-    """Per-edge lower and upper bounds, validated as 0 <= lower <= upper."""
-
-    lower: tuple[Fraction, ...]
-    upper: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        lo = tuple(_frac(x) for x in self.lower)
-        up = tuple(_frac(x) for x in self.upper)
-        if len(lo) != len(up):
-            raise ValidationError("lower/upper bound lists differ in length")
-        for e, (l, u) in enumerate(zip(lo, up)):
-            if l < 0:
-                raise ValidationError(f"edge {e}: negative lower bound {l}")
-            if l > u:
-                raise ValidationError(f"edge {e}: lower bound {l} above upper {u}")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", up)
-
-    @staticmethod
-    def from_uppers(uppers: Iterable) -> "CapacityBounds":
-        up = tuple(_frac(x) for x in uppers)
-        return CapacityBounds((Fraction(0),) * len(up), up)
-
-    @property
-    def m(self) -> int:
-        return len(self.upper)
-
-
 @dataclass(frozen=True)
 class FlowAssignment:
     """Per-edge flow values with the realized s-t value (net outflow at s)."""
@@ -186,24 +148,26 @@ class FlowAssignment:
     values: tuple[Fraction, ...]
     flow_value: Fraction
 
-    def violations(self, graph: Graph, bounds: CapacityBounds) -> Iterator[str]:
-        """Every bound violation by edge id, then every conservation one."""
+    def violations(
+        self, graph: Graph, capacities: Sequence[Fraction]
+    ) -> Iterator[str]:
+        """Every capacity violation by edge id, then every conservation one."""
         for e, f in enumerate(self.values):
-            if f < bounds.lower[e]:
-                yield f"violation capacity edge {e} flow {f} below {bounds.lower[e]}"
-            elif f > bounds.upper[e]:
-                yield f"violation capacity edge {e} flow {f} above {bounds.upper[e]}"
+            if f < 0:
+                yield f"violation capacity edge {e} flow {f} below 0"
+            elif f > capacities[e]:
+                yield f"violation capacity edge {e} flow {f} above {capacities[e]}"
         for v in range(graph.n):
             if v not in (graph.source, graph.sink):
                 net = graph.net_outflow(self.values, v)
                 if net != 0:
                     yield f"violation conservation node {v} net {net}"
 
-    def validate(self, graph: Graph, bounds: CapacityBounds) -> None:
+    def validate(self, graph: Graph, capacities: Sequence[Fraction]) -> None:
         """Raise ValidationError on the first conservation or bound violation."""
         if len(self.values) != graph.m:
             raise ValidationError("flow has wrong number of edges")
-        for problem in self.violations(graph, bounds):
+        for problem in self.violations(graph, capacities):
             raise ValidationError(problem)
         net_s = graph.net_outflow(self.values, graph.source)
         if net_s != self.flow_value:

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .cuts import CutReport, SetCrossing
 from .errors import Infeasible, ValidationError, require
-from .graph import CapacityBounds, FlowAssignment, Graph
+from .graph import FlowAssignment, Graph
 from .maxflow import bounded_max_flow_int
 from .values import DeviationFn
 
@@ -137,17 +137,6 @@ class Instance:
             out.append(x)
         return tuple(out)
 
-    def bounds_at(self, lam: Sequence[Fraction]) -> CapacityBounds:
-        lam = self.check_lambda(lam)
-        lower = [Fraction(0)] * self.m
-        upper = list(self.capacities)
-        for i, hs in enumerate(self.sets):
-            cap_i = hs.deviation(lam[i])
-            for e in hs.edges:
-                lower[e] = lam[i]
-                upper[e] = min(self.capacities[e], cap_i)
-        return CapacityBounds(tuple(lower), tuple(upper))
-
     def cut_report(self, s_side: frozenset[int]) -> CutReport:
         """The cut priced as a function of lam, memoised in the template."""
         hit = self.template.cuts.get(s_side)
@@ -177,9 +166,7 @@ class Instance:
 
     def violations(self, flow: FlowAssignment) -> Iterator[str]:
         """Every violation of `flow`: capacity, then conservation, then sets."""
-        yield from flow.violations(
-            self.graph, CapacityBounds.from_uppers(self.capacities)
-        )
+        yield from flow.violations(self.graph, self.capacities)
         yield from self._set_violations(flow.values)
 
     def _set_violations(self, values: Sequence[Fraction]) -> Iterator[str]:
@@ -195,7 +182,7 @@ class Instance:
 
     def check_flow(self, flow: FlowAssignment) -> None:
         """Raise ValidationError on the first violation of `violations`."""
-        flow.validate(self.graph, CapacityBounds.from_uppers(self.capacities))
+        flow.validate(self.graph, self.capacities)
         for problem in self._set_violations(flow.values):
             raise ValidationError(problem)
 
@@ -296,8 +283,8 @@ def make_instance(
 
 def _max_flow_at(
     inst: Instance, lam: Sequence[Fraction]
-) -> tuple[Fraction, tuple[Fraction, ...], CutReport]:
-    """Max-flow value, edge flows and min-cut certificate at `lam`.
+) -> tuple[Fraction, tuple[int, ...], int, CutReport]:
+    """Value, edge flows in units of 1/d, d and min-cut certificate at `lam`.
 
     Raises Infeasible when the implied lower bounds admit no flow.  The
     certificate is re-priced through the cut formula and must reproduce the
@@ -312,7 +299,7 @@ def _max_flow_at(
     value = Fraction(value, d)
     report = inst.cut_report(s_side)
     require(report.capacity_at(lam) == value, "cut certificate mismatch")
-    return value, tuple(Fraction(f, d) for f in flows), report
+    return value, tuple(flows), d, report
 
 
 def evaluate_F(
@@ -322,15 +309,18 @@ def evaluate_F(
 
     Raises Infeasible when the implied lower bounds admit no flow.
     """
-    value, _, report = _max_flow_at(inst, lam)
+    value, _, _, report = _max_flow_at(inst, lam)
     return value, report
 
 
 class FSample(NamedTuple):
+    """One F evaluation; `flows` are the core's edge flows in units of 1/scale."""
+
     feasible: bool
     value: Fraction | None
     report: CutReport | None
-    flows: tuple[Fraction, ...] | None
+    flows: tuple[int, ...] | None
+    scale: int | None
 
 
 class FEvaluator:
@@ -348,11 +338,11 @@ class FEvaluator:
             return hit
         self.evaluations += 1
         try:
-            value, flows, report = _max_flow_at(self.inst, key)
+            value, flows, d, report = _max_flow_at(self.inst, key)
         except Infeasible:
-            out = FSample(False, None, None, None)
+            out = FSample(False, None, None, None, None)
         else:
-            out = FSample(True, value, report, flows)
+            out = FSample(True, value, report, flows, d)
         self._cache[key] = out
         return out
 
@@ -361,7 +351,8 @@ class FEvaluator:
         lam = tuple(Fraction(x) for x in lam)
         s = self.sample(lam)
         require(s.feasible, "the solver's optimum is infeasible")
-        return SolveResult(lam, s.value, FlowAssignment(s.flows, s.value), s.report)
+        flows = tuple(Fraction(f, s.scale) for f in s.flows)
+        return SolveResult(lam, s.value, FlowAssignment(flows, s.value), s.report)
 
 
 @dataclass(frozen=True)

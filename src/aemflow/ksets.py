@@ -24,7 +24,9 @@ one-sided optimality conditions.
 
 Integer optima reuse the fractional solution: for each coordinate take
 floor and ceiling, evaluate every corner that stays feasible plus the
-all-zero point, and keep the lexicographically smallest argmax.
+all-zero point, and keep the lexicographically smallest argmax.  They are
+solved on the instance with capacities and shifts floored, which has the
+same integral flows.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from itertools import product
 from math import ceil, factorial, floor, lcm
 
 from .errors import Infeasible, UnsupportedDeviation, ValidationError, require
-from .instance import FEvaluator, Instance, SolveResult
+from .instance import FEvaluator, HomologousSet, Instance, SolveResult
 from .parametric import Slice
-from .values import simplest_rational_in
+from .values import DeviationFn, simplest_rational_in
 
 __all__ = [
     "solve_k_constant",
@@ -230,14 +232,29 @@ def solve_k_constant(inst: Instance, method: str = "auto") -> SolveResult:
     return _solve_on(FEvaluator(inst), method)
 
 
+def _floor_shift(dev: DeviationFn) -> DeviationFn:
+    """A constant shift rounded down; other shapes are rejected later."""
+    if not dev.is_constant_shift:
+        return dev
+    return DeviationFn.constant_shift(floor(dev.shift_amount()))
+
+
 def solve_integer_constant(inst: Instance, method: str = "auto") -> SolveResult:
     """Best all-integer parameter vector for a constant-shift instance.
 
-    Rounds the fractional optimum coordinate-wise, evaluates every
-    floor/ceiling corner that stays feasible together with the all-zero
-    vector, and keeps the lexicographically smallest argmax.  The corners
-    reuse the fractional solve's evaluator and so its samples.
+    An integral flow meets a capacity c, or a shift c over an integral set
+    minimum, exactly when it meets floor(c), so the solve runs with both
+    floored and its flows stay valid for `inst`.  Rounds the fractional
+    optimum coordinate-wise, evaluates every floor/ceiling corner that
+    stays feasible together with the all-zero vector, and keeps the
+    lexicographically smallest argmax.  The corners reuse the fractional
+    solve's evaluator and so its samples.
     """
+    inst = Instance(
+        inst.graph,
+        tuple(Fraction(floor(c)) for c in inst.capacities),
+        tuple(HomologousSet(hs.edges, _floor_shift(hs.deviation)) for hs in inst.sets),
+    )
     ev = FEvaluator(inst)
     base = _solve_on(ev, method)
     choices = []

@@ -5,11 +5,12 @@ edge count; the BFS scans arcs in ascending id order (insertion order),
 which fixes the path choice and makes every result, including the
 extracted min cut, a pure function of the input.
 
-The integer core is `bounded_max_flow_int` and `deficiency_int`.  Path
-choice depends only on which residuals are positive, so any common scale
-of the bounds gives the same flows and cuts: `instance.ArcTemplate` scales
-per sample by what moves, and the rational adapters `max_flow_arcs`,
-`bounded_max_flow_arcs` and `deficiency_arcs` by the lcm of all bounds.
+The whole API is `bounded_max_flow_int` and `deficiency_int`, on integer
+bounds in units of 1/d.  Path choice depends only on which residuals are
+positive, so any common scale of the bounds gives the same flows and
+cuts.  Rationals stay at the edges: `instance.ArcTemplate` scales each F
+sample by what moves, and only `FEvaluator.result` turns flows back into
+`Fraction`s.
 
 Lower bounds go through the usual circulation transformation: saturate
 every lower bound, route the resulting node imbalances through a
@@ -24,31 +25,14 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple, Sequence
 
-from .cuts import CutReport
 from .errors import Infeasible, ValidationError
-from .graph import CapacityBounds, FlowAssignment, Graph
 
-__all__ = [
-    "FlowCut",
-    "DeficiencyReport",
-    "max_flow_arcs",
-    "bounded_max_flow_arcs",
-    "deficiency_arcs",
-    "max_flow_bounded",
-]
+__all__ = ["DeficiencyReport", "bounded_max_flow_int", "deficiency_int"]
 
 
 Pairs = Sequence[tuple[int, int]]
-Arcs = Sequence[tuple[int, int, Fraction, Fraction]]  # tail, head, lower, upper
-
-
-class FlowCut(NamedTuple):
-    value: Fraction
-    flows: tuple[Fraction, ...]
-    s_side: frozenset[int]
 
 
 class DeficiencyReport(NamedTuple):
@@ -209,56 +193,3 @@ def deficiency_int(
         Fraction(required, d),
         t in raw_side and s not in raw_side,
     )
-
-
-def _scale_arcs(arcs: Arcs):
-    """Pairs, the lcm d of all bound denominators, and lowers and uppers times d."""
-    bounds = [(Fraction(a[2]), Fraction(a[3])) for a in arcs]
-    d = lcm(*(x.denominator for b in bounds for x in b))
-    lowers, uppers = [int(b[0] * d) for b in bounds], [int(b[1] * d) for b in bounds]
-    return [(a[0], a[1]) for a in arcs], d, lowers, uppers
-
-
-def bounded_max_flow_arcs(n: int, arcs: Arcs, s: int, t: int) -> FlowCut:
-    """Max s-t flow over arcs (tail, head, lower, upper).
-
-    Raises Infeasible when the lower bounds admit no flow at all.
-    """
-    pairs, d, lowers, uppers = _scale_arcs(arcs)
-    value, flows, s_side = bounded_max_flow_int(n, pairs, s, t, lowers, uppers, d)
-    return FlowCut(Fraction(value, d), tuple(Fraction(f, d) for f in flows), s_side)
-
-
-def max_flow_arcs(
-    n: int, arcs: Sequence[tuple[int, int, Fraction]], s: int, t: int
-) -> FlowCut:
-    """Max s-t flow over arcs (tail, head, upper); lower bounds all zero."""
-    return bounded_max_flow_arcs(n, [(u, v, 0, c) for u, v, c in arcs], s, t)
-
-
-def deficiency_arcs(n: int, arcs: Arcs, s: int, t: int) -> DeficiencyReport:
-    """`deficiency_int` over arcs (tail, head, lower, upper) with rational bounds."""
-    pairs, d, lowers, uppers = _scale_arcs(arcs)
-    return deficiency_int(n, pairs, s, t, lowers, uppers, d)
-
-
-def max_flow_bounded(graph: Graph, bounds: CapacityBounds) -> tuple[FlowAssignment, CutReport]:
-    """Spec-level entry: maximum feasible flow plus its min-cut certificate."""
-    graph.validate()
-    if bounds.m != graph.m:
-        raise ValidationError("bounds do not match edge count")
-    arcs = [
-        (e.tail, e.head, bounds.lower[e.id], bounds.upper[e.id]) for e in graph.edges
-    ]
-    value, flows, s_side = bounded_max_flow_arcs(
-        graph.n, arcs, graph.source, graph.sink
-    )
-    cap = Fraction(0)
-    for e in graph.edges:
-        tin, hin = e.tail in s_side, e.head in s_side
-        if tin and not hin:
-            cap += bounds.upper[e.id]
-        elif hin and not tin:
-            cap -= bounds.lower[e.id]
-    flow = FlowAssignment(flows, value)
-    return flow, CutReport(s_side, cap)

@@ -60,8 +60,17 @@ def _int_value(n, pairs, s, t, lowers, uppers):
     return carried + net.max_flow(s, t)
 
 
-def _best_over(inst: Instance, grids: list[list[Fraction]], budget: int):
-    """Max scaled flow value over the candidate cross product, with scale."""
+def _best_over(
+    inst: Instance,
+    grids: list[list[Fraction]],
+    tops: list[list[Fraction]],
+    budget: int,
+):
+    """Max scaled flow value over the candidate cross product, with scale.
+
+    ``tops[i][j]`` is the upper bound that candidate ``grids[i][j]`` puts
+    on the members of set i.
+    """
     count = 1
     for g in grids:
         count *= len(g)
@@ -69,14 +78,13 @@ def _best_over(inst: Instance, grids: list[list[Fraction]], budget: int):
         raise BudgetExceeded(
             f"{count} oracle candidates exceed the budget of {budget}"
         )
-    devs = [[hs.deviation(x) for x in g] for hs, g in zip(inst.sets, grids)]
     dens = [c.denominator for c in inst.capacities]
     dens += [x.denominator for g in grids for x in g]
-    dens += [d.denominator for col in devs for d in col]
+    dens += [d.denominator for col in tops for d in col]
     scale = lcm(*dens) if dens else 1
     caps = [int(c * scale) for c in inst.capacities]
     lows = [[int(x * scale) for x in g] for g in grids]
-    tops = [[int(d * scale) for d in col] for col in devs]
+    tops = [[int(d * scale) for d in col] for col in tops]
     g = inst.graph
     pairs = [(e.tail, e.head) for e in g.edges]
     n, s, t = g.n, g.source, g.sink
@@ -120,7 +128,8 @@ def oracle_fractional(
             for num in range(floor(top * d) + 1):
                 cands.add(Fraction(num, d))
         grids.append(sorted(cands))
-    best, scale = _best_over(inst, grids, budget)
+    tops = [[hs.deviation(x) for x in g] for hs, g in zip(inst.sets, grids)]
+    best, scale = _best_over(inst, grids, tops, budget)
     return Fraction(best, scale)
 
 
@@ -141,40 +150,11 @@ def oracle_integer(inst: Instance, budget: int = DEFAULT_BUDGET) -> int:
         [Fraction(v) for v in range(floor(inst.u_R(i)) + 1)]
         for i in range(inst.k)
     ]
-    count = 1
-    for g in grids:
-        count *= len(g)
-    if count > budget:
-        raise BudgetExceeded(
-            f"{count} oracle candidates exceed the budget of {budget}"
-        )
-    g = inst.graph
-    pairs = [(e.tail, e.head) for e in g.edges]
-    caps = [int(c) for c in inst.capacities]
-    members = [hs.edges for hs in inst.sets]
-    devs = [
-        [floor(hs.deviation(x)) for x in grid]
+    tops = [
+        [Fraction(floor(hs.deviation(x))) for x in grid]
         for hs, grid in zip(inst.sets, grids)
     ]
-    best = None
-    for idx in product(*(range(len(gr)) for gr in grids)):
-        lowers = [0] * inst.m
-        uppers = caps[:]
-        ok = True
-        for i, j in enumerate(idx):
-            lo, top = int(grids[i][j]), devs[i][j]
-            for e in members[i]:
-                lowers[e] = lo
-                if top < uppers[e]:
-                    uppers[e] = top
-                if lo > uppers[e]:
-                    ok = False
-        if not ok:
-            continue
-        v = _int_value(g.n, pairs, g.source, g.sink, lowers, uppers)
-        if v is not None and (best is None or v > best):
-            best = v
-    require(best is not None, "the all-zero parameter vector is feasible")
+    best, _ = _best_over(inst, grids, tops, budget)
     return best
 
 

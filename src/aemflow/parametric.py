@@ -42,7 +42,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from math import lcm
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import (
     Infeasible,
@@ -219,9 +219,32 @@ class Slice:
 
     # -- probe resolution ----------------------------------------------------
 
-    def probe_gap(self, x: Fraction) -> Fraction:
-        """Starting width for probe windows around x; shrunk on demand."""
-        return Fraction(1, 2 * self._eps_scale * x.denominator)
+    def probe_widths(self, x: Fraction, reach: Fraction) -> Iterator[Fraction]:
+        """Probe window widths around x, each a sixteenth of the last.
+
+        The first is a starting gap capped at `reach`.  Raises InternalError
+        once all 80 are used up.
+        """
+        eps = min(Fraction(1, 2 * self._eps_scale * x.denominator), reach)
+        for _ in range(80):
+            yield eps
+            eps /= 16
+        raise InternalError("probe window failed to certify a verdict")
+
+    def probe(
+        self, x: Fraction, fx: FSample, t: Fraction
+    ) -> tuple[FSample, Fraction, bool]:
+        """The sample at t, the chord slope from x to t, and its certificate.
+
+        The chord is certified when the one-sided slope of t's cut facing x
+        equals it, which proves F linear between x and t.
+        """
+        st = self.sample(t)
+        require(st.feasible, "probe is infeasible")
+        chord = (st.value - fx.value) / (t - x)
+        rep = st.report
+        slope = rep.left_slope(self.free, t) if t > x else rep.right_slope(self.free, t)
+        return st, chord, slope == chord
 
     def resolve(self, x) -> Order:
         """Place the slice optimum relative to x.  Exact, no tolerance.
@@ -247,24 +270,15 @@ class Slice:
             return Order.EQUAL
         fx = self.sample(x)
         require(fx.feasible, "query point inside the feasible interval is infeasible")
-        eps = min(self.probe_gap(x), bf - af)
-        for _ in range(80):
+        for eps in self.probe_widths(x, bf - af):
             cl = cr = None
             cert_l = cert_r = False
-            s1 = s2 = None
-            t1 = t2 = None
             if x > af:
                 t1 = x - min(eps, x - af)
-                s1 = self.sample(t1)
-                require(s1.feasible, "left probe is infeasible")
-                cl = (fx.value - s1.value) / (x - t1)
-                cert_l = s1.report.right_slope(self.free, t1) == cl
+                s1, cl, cert_l = self.probe(x, fx, t1)
             if x < bf:
                 t2 = x + min(eps, bf - x)
-                s2 = self.sample(t2)
-                require(s2.feasible, "right probe is infeasible")
-                cr = (s2.value - fx.value) / (t2 - x)
-                cert_r = s2.report.left_slope(self.free, t2) == cr
+                s2, cr, cert_r = self.probe(x, fx, t2)
             # Chord verdicts need no certificate: concavity alone makes a
             # flat-or-falling left chord push the smallest maximizer left,
             # and a rising right chord push it right.
@@ -282,8 +296,6 @@ class Slice:
                 cross = ((s2.value - cr * t2) - (s1.value - cl * t1)) / (cl - cr)
                 require(cross == x, "certified probe lines miss the query point")
                 return Order.EQUAL
-            eps /= 16
-        raise InternalError("probe window failed to certify a verdict")
 
     # -- parametric solve ----------------------------------------------------
 

@@ -51,15 +51,10 @@ class BreakpointProfile:
 
 def _certified_right_slope(sl: Slice, x: Fraction, bf: Fraction) -> Fraction:
     fx = sl.sample(x)
-    eps = min(sl.probe_gap(x), bf - x)
-    for _ in range(80):
-        p = x + eps
-        sp = sl.sample(p)
-        chord = (sp.value - fx.value) / (p - x)
-        if sp.report.left_slope(sl.free, p) == chord:
+    for eps in sl.probe_widths(x, bf - x):
+        _, chord, certified = sl.probe(x, fx, x + eps)
+        if certified:
             return chord
-        eps /= 16
-    raise InternalError("right slope probe failed to certify")
 
 
 def _piece_end(sl: Slice, x: Fraction, sigma: Fraction, bf: Fraction) -> Fraction:

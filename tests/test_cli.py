@@ -52,6 +52,18 @@ class TestSolve:
         assert rc == 0
         assert "value 7" in out.splitlines()
 
+    def test_integer_floors_a_fractional_shift(self, capsys, files):
+        write, _ = files
+        path = write("h.aemfp", PARALLEL.replace("const 1 ", "const 1/2 "))
+        rc, out, _ = run(capsys, "solve", path, "--integer")
+        assert rc == 0
+        lines = out.splitlines()
+        assert "value 8" in lines
+        flows = [Q(line.split()[2]) for line in lines if line.startswith("flow ")]
+        assert flows == [4, 4]
+        rc, out, _ = run(capsys, "oracle", path, "--integer")
+        assert (rc, out) == (0, "value 8\n")
+
     def test_plain_maxflow_no_sets(self, capsys, files):
         write, _ = files
         rc, out, _ = run(

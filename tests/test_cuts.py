@@ -2,8 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from aemflow.cuts import CutReport, SetCrossing, cut_edges
-from aemflow.graph import Graph
+from aemflow.cuts import CutReport, SetCrossing
 from aemflow.values import DeviationFn
 
 
@@ -67,17 +66,3 @@ class TestSlopes:
         sc = SetCrossing((Q(100),), 0, DeviationFn.polynomial((1, 0, 2)))
         rep = CutReport(frozenset({0}), Q(0), (sc,))
         assert rep.right_slope(0, Q(3)) == 12
-
-
-def test_cut_edges_partition():
-    g = Graph()
-    for name in "stab":
-        g.add_node(name)
-    g.source, g.sink = 0, 1
-    e0 = g.add_edge("s", "a")
-    e1 = g.add_edge("a", "t")
-    e2 = g.add_edge("b", "a")
-    e3 = g.add_edge("t", "b")
-    fwd, bwd = cut_edges(g, frozenset({0, 2}))
-    assert fwd == [e1]
-    assert bwd == [e2]

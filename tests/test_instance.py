@@ -14,9 +14,10 @@ from aemflow.instance import (
     evaluate_F,
     make_instance,
 )
-from aemflow.maxflow import bounded_max_flow_arcs, deficiency_arcs
+from aemflow.oracles import _int_value
 from aemflow.parametric import Slice
 from aemflow.values import DeviationFn
+from intflow import bounded_flow, deficiency, scaled
 
 shift = DeviationFn.constant_shift
 
@@ -152,6 +153,12 @@ class TestSubdivision:
         assert inst.m == 2
 
 
+def bounds(inst, lam):
+    """Rational (lowers, uppers) at lam, from the compiled template."""
+    d, lowers, uppers = inst.template.scaled_bounds(inst.check_lambda(lam))
+    return [Q(x, d) for x in lowers], [Q(x, d) for x in uppers]
+
+
 class TestBuildGLambda:
     def test_zero_lambda_identity_deviation_pins_to_zero(self):
         g = Graph()
@@ -161,25 +168,25 @@ class TestBuildGLambda:
         g.add_edge("s", "t")
         g.source, g.sink = 0, 1
         inst = make_instance(g, [4, 10], [([0], shift(0))])
-        b = inst.bounds_at((Q(0),))
-        assert (b.lower[0], b.upper[0]) == (0, 0)
-        assert (b.lower[1], b.upper[1]) == (0, 10)
+        lo, up = bounds(inst, (Q(0),))
+        assert (lo[0], up[0]) == (0, 0)
+        assert (lo[1], up[1]) == (0, 10)
 
     def test_two_parallel_at_four(self):
-        b = two_parallel().bounds_at((Q(4),))
-        assert (b.lower[0], b.upper[0]) == (4, 4)
-        assert (b.lower[1], b.upper[1]) == (4, 5)
+        lo, up = bounds(two_parallel(), (Q(4),))
+        assert (lo[0], up[0]) == (4, 4)
+        assert (lo[1], up[1]) == (4, 5)
 
     def test_upper_clamp_at_u_R(self):
         inst = two_parallel(c=2)
-        b = inst.bounds_at((inst.u_R(0),))
-        assert (b.lower[0], b.upper[0]) == (4, 4)
+        lo, up = bounds(inst, (inst.u_R(0),))
+        assert (lo[0], up[0]) == (4, 4)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
-            two_parallel().bounds_at((Q(5),))
+            bounds(two_parallel(), (Q(5),))
         with pytest.raises(ValidationError):
-            two_parallel().bounds_at((Q(-1),))
+            bounds(two_parallel(), (Q(-1),))
 
 
 class TestEvaluateF:
@@ -233,7 +240,8 @@ class TestFEvaluator:
         inst = two_parallel()
         ev = FEvaluator(inst)
         s = ev.sample((Q(4),))
-        flow = FlowAssignment(s.flows, s.value)
+        assert all(isinstance(f, int) for f in s.flows)
+        flow = FlowAssignment(tuple(Q(f, s.scale) for f in s.flows), s.value)
         inst.check_flow(flow)
 
     def test_result_at_a_feasible_point(self):
@@ -277,6 +285,13 @@ class TestCheckFlow:
             inst.check_flow(flow)
         assert str(exc.value) == first
 
+    def test_negative_flow_is_below_zero(self):
+        flow = FlowAssignment((Q(-1, 2), Q(0), Q(0)), Q(-1, 2))
+        assert list(bottleneck().violations(flow)) == [
+            "violation capacity edge 0 flow -1/2 below 0",
+            "violation conservation node 1 net 1/2",
+        ]
+
 
 def _mixed_instance(seed):
     """Fractional capacities, sets sharing edges, one deviation of each kind.
@@ -312,6 +327,18 @@ def _mixed_instance(seed):
     return inst, bool(caught)
 
 
+def _rational_arcs(inst, lam):
+    """(tail, head, lower, upper) at lam, straight from the instance data."""
+    lower = [Q(0)] * inst.m
+    upper = list(inst.capacities)
+    for x, hs in zip(lam, inst.sets):
+        top = hs.deviation(x)
+        for e in hs.edges:
+            lower[e] = x
+            upper[e] = min(upper[e], top)
+    return [(e.tail, e.head, lower[e.id], upper[e.id]) for e in inst.graph.edges]
+
+
 def _grid(inst):
     """Parameter vectors over the box: 0, u_R and fractions in between."""
     axes = [
@@ -322,7 +349,8 @@ def _grid(inst):
 
 
 class TestCompiledEvaluator:
-    """The integer F-evaluator against the public rational route."""
+    """The integer F-evaluator against bounds built from the instance data,
+    lcm-scaled into the integer core and into `oracles._int_value`."""
 
     def test_sample_and_deficiency_match_the_rational_route(self):
         feasible, subdivided, kinds = set(), set(), set()
@@ -335,28 +363,28 @@ class TestCompiledEvaluator:
             g = inst.graph
             free = seed % inst.k
             for lam in _grid(inst):
-                b = inst.bounds_at(lam)
-                arcs = [
-                    (e.tail, e.head, b.lower[e.id], b.upper[e.id]) for e in g.edges
-                ]
-                rdef = deficiency_arcs(g.n, arcs, g.source, g.sink)
+                arcs = _rational_arcs(inst, lam)
+                assert bounds(inst, lam) == ([a[2] for a in arcs], [a[3] for a in arcs])
+                rdef = deficiency(g.n, arcs, g.source, g.sink)
                 try:
-                    ref = bounded_max_flow_arcs(g.n, arcs, g.source, g.sink)
+                    ref = bounded_flow(g.n, arcs, g.source, g.sink)
                 except Infeasible:
                     ref = None
+                pairs, d, lowers, uppers = scaled(arcs)
+                iv = _int_value(g.n, pairs, g.source, g.sink, lowers, uppers)
                 s = FEvaluator(inst).sample(lam)
                 assert s.feasible == (ref is not None) == (rdef.deficiency == 0)
+                assert s.feasible == (iv is not None)
                 feasible.add(s.feasible)
                 if ref is not None:
-                    assert (s.value, s.flows) == (ref.value, ref.flows)
-                    assert s.report.s_side == ref.s_side
-                    assert s.report == twin.cut_report(ref.s_side)
+                    value, flows, side = ref
+                    assert s.value == value == Q(iv, d)
+                    assert tuple(Q(f, s.scale) for f in s.flows) == flows
+                    assert s.report.s_side == side
+                    assert s.report == twin.cut_report(side)
                 fixed = {i: x for i, x in enumerate(lam) if i != free}
                 rep = Slice(inst, free, fixed)._deficiency(lam[free])[0]
-                assert rep.deficiency == rdef.deficiency
-                assert rep.aux_s_side == rdef.aux_s_side
-                assert rep.required == rdef.required
-                assert rep.crosses_return == rdef.crosses_return
+                assert rep == rdef
         assert feasible == {True, False}
         assert subdivided == {True, False}
         assert kinds == {"shift", "affine", "poly"}

@@ -196,6 +196,22 @@ class TestSolveInteger:
         assert res.lambda_star == (Q(1), Q(1))
         assert res.opt_value == 4
 
+    def test_fractional_data_is_floored(self):
+        # Integral flows meet caps 9/2, 11/2 and shift 3/2 exactly when they
+        # meet 4, 5 and 1, so lam = 4 with flows 4 and 5 is the optimum.
+        g = Graph()
+        g.add_node("s")
+        g.add_node("t")
+        g.add_edge("s", "t")
+        g.add_edge("s", "t")
+        g.source, g.sink = 0, 1
+        inst = make_instance(g, [Q(9, 2), Q(11, 2)], [([0, 1], shift(Q(3, 2)))])
+        res = solve_integer_constant(inst)
+        assert res.lambda_star == (Q(4),)
+        assert res.opt_value == 9
+        assert res.flow.values == (Q(4), Q(5))
+        res.verify(inst)
+
     def test_no_sets(self):
         res = solve_integer_constant(plain())
         assert res.lambda_star == ()

@@ -4,13 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aemflow.errors import Infeasible, ValidationError
-from aemflow.graph import CapacityBounds, FlowAssignment, Graph
-from aemflow.maxflow import (
-    bounded_max_flow_arcs,
-    deficiency_arcs,
-    max_flow_arcs,
-    max_flow_bounded,
-)
+from aemflow.graph import FlowAssignment, Graph
+from intflow import bounded_flow, deficiency
 
 
 def build(n_nodes, edge_list, s=0, t=1):
@@ -21,6 +16,26 @@ def build(n_nodes, edge_list, s=0, t=1):
         g.add_edge(u, v)
     g.source, g.sink = s, t
     return g
+
+
+def max_flow(n, arcs):
+    """Max flow from node 0 to node 1 over arcs (tail, head, upper)."""
+    return bounded_flow(n, [(u, v, 0, c) for u, v, c in arcs])
+
+
+def graph_arcs(g, lowers, uppers):
+    return [(e.tail, e.head, lowers[e.id], uppers[e.id]) for e in g.edges]
+
+
+def cut_capacity(arcs, side):
+    """Uppers crossing forward minus lowers crossing backward."""
+    cap = Q(0)
+    for u, v, low, up in arcs:
+        if u in side and v not in side:
+            cap += up
+        elif v in side and u not in side:
+            cap -= low
+    return cap
 
 
 class TestGraph:
@@ -58,23 +73,20 @@ class TestGraph:
 
 
 class TestCapacityBounds:
+    """The core accepts only bounds with 0 <= lower <= upper."""
+
     def test_lower_above_upper_rejected(self):
         with pytest.raises(ValidationError):
-            CapacityBounds((Q(7),), (Q(5),))
+            bounded_flow(2, [(0, 1, Q(7), Q(5))])
 
     def test_negative_lower_rejected(self):
         with pytest.raises(ValidationError):
-            CapacityBounds((Q(-1),), (Q(5),))
-
-    def test_from_uppers(self):
-        b = CapacityBounds.from_uppers([3, Q(5, 2)])
-        assert b.lower == (0, 0)
-        assert b.upper == (3, Q(5, 2))
+            bounded_flow(2, [(0, 1, Q(-1), Q(5))])
 
 
 class TestMaxFlow:
     def test_single_edge(self):
-        value, flows, cut = max_flow_arcs(2, [(0, 1, Q(10))], 0, 1)
+        value, flows, cut = max_flow(2, [(0, 1, Q(10))])
         assert value == 10
         assert flows == (10,)
         assert cut == {0}
@@ -88,18 +100,18 @@ class TestMaxFlow:
             (3, 1, Q(4)),
             (2, 3, Q(5)),
         ]
-        value, flows, cut = max_flow_arcs(4, arcs, 0, 1)
+        value, flows, cut = max_flow(4, arcs)
         assert value == 5
         assert flows[0] == 3 and flows[4] == 1
 
     def test_rational_capacities_exact(self):
         arcs = [(0, 2, Q(1, 3)), (2, 1, Q(1, 2))]
-        value, flows, _ = max_flow_arcs(3, arcs, 0, 1)
+        value, flows, _ = max_flow(3, arcs)
         assert value == Q(1, 3)
         assert flows == (Q(1, 3), Q(1, 3))
 
     def test_disconnected_is_zero(self):
-        value, flows, cut = max_flow_arcs(3, [(0, 2, Q(5))], 0, 1)
+        value, flows, cut = max_flow(3, [(0, 2, Q(5))])
         assert value == 0
         assert cut == {0, 2}
 
@@ -115,7 +127,7 @@ class TestMaxFlow:
             (4, 1, Q(1)),
             (5, 1, Q(1)),
         ]
-        value, _, cut = max_flow_arcs(6, arcs, 0, 1)
+        value, _, cut = max_flow(6, arcs)
         assert value == 5
         assert cut == {0}
 
@@ -124,7 +136,7 @@ class TestBoundedMaxFlow:
     def test_lower_bounds_satisfiable(self):
         # s -> v (lower 7) -> t; plenty of room
         arcs = [(0, 2, Q(7), Q(10)), (2, 1, Q(0), Q(10))]
-        value, flows, _ = bounded_max_flow_arcs(3, arcs, 0, 1)
+        value, flows, _ = bounded_flow(3, arcs)
         assert value == 10
 
     def test_lower_bound_forces_detour(self):
@@ -135,64 +147,63 @@ class TestBoundedMaxFlow:
             (2, 3, Q(0), Q(5)),
             (3, 1, Q(0), Q(5)),
         ]
-        value, flows, _ = bounded_max_flow_arcs(4, arcs, 0, 1)
+        value, flows, _ = bounded_flow(4, arcs)
         assert value == 2
         assert flows[0] == 2
 
     def test_infeasible_bottleneck(self):
         arcs = [(0, 2, Q(7), Q(10)), (2, 1, Q(0), Q(5))]
         with pytest.raises(Infeasible):
-            bounded_max_flow_arcs(3, arcs, 0, 1)
+            bounded_flow(3, arcs)
 
     def test_infeasible_reports_deficiency(self):
         arcs = [(0, 2, Q(7), Q(10)), (2, 1, Q(0), Q(5))]
-        rep = deficiency_arcs(3, arcs, 0, 1)
+        rep = deficiency(3, arcs)
         assert rep.deficiency == 2
         assert rep.required == 7
 
     def test_feasible_has_zero_deficiency(self):
         arcs = [(0, 2, Q(7), Q(10)), (2, 1, Q(0), Q(10))]
-        rep = deficiency_arcs(3, arcs, 0, 1)
+        rep = deficiency(3, arcs)
         assert rep.deficiency == 0
 
     def test_backward_lower_bound_cut_value(self):
         # A lower bound on a backward edge reduces the cut capacity.
         # s->t cap 5 and t->s lower 1: optimum 5 (return arc refunds through s)
         g = build(2, [(0, 1), (1, 0)])
-        bounds = CapacityBounds((Q(0), Q(1)), (Q(5), Q(3)))
-        flow, report = max_flow_bounded(g, bounds)
-        flow.validate(g, bounds)
-        assert flow.flow_value == report.capacity_at(())
+        arcs = graph_arcs(g, (Q(0), Q(1)), (Q(5), Q(3)))
+        value, flows, side = bounded_flow(g.n, arcs)
+        FlowAssignment(flows, value).validate(g, (Q(5), Q(3)))
+        assert flows[1] >= 1
+        assert value == cut_capacity(arcs, side)
 
 
 class TestMaxFlowBounded:
     def test_returns_matching_certificate(self):
         g = build(4, [(0, 2), (0, 3), (2, 1), (3, 1), (2, 3)])
-        bounds = CapacityBounds.from_uppers([3, 2, 2, 4, 5])
-        flow, report = max_flow_bounded(g, bounds)
-        flow.validate(g, bounds)
-        assert flow.flow_value == 5
-        assert 0 in report.s_side and 1 not in report.s_side
-        assert report.capacity_at(()) == 5
+        caps = [Q(c) for c in (3, 2, 2, 4, 5)]
+        arcs = graph_arcs(g, [0] * g.m, caps)
+        value, flows, side = bounded_flow(g.n, arcs)
+        FlowAssignment(flows, value).validate(g, caps)
+        assert value == 5
+        assert 0 in side and 1 not in side
+        assert cut_capacity(arcs, side) == 5
 
     def test_flow_value_is_net_source_outflow(self):
         g = build(2, [(0, 1), (1, 0)])
-        bounds = CapacityBounds.from_uppers([4, 9])
-        flow, _ = max_flow_bounded(g, bounds)
-        assert flow.flow_value == 4
+        value, flows, _ = bounded_flow(g.n, graph_arcs(g, [0, 0], [4, 9]))
+        assert value == g.net_outflow(flows, g.source) == 4
 
     def test_validate_catches_bad_conservation(self):
         g = build(3, [(0, 2), (2, 1)])
-        bounds = CapacityBounds.from_uppers([5, 5])
         bad = FlowAssignment((Q(3), Q(2)), Q(3))
         with pytest.raises(ValidationError):
-            bad.validate(g, bounds)
+            bad.validate(g, (Q(5), Q(5)))
 
     def test_validate_catches_bad_value(self):
         g = build(2, [(0, 1)])
-        bounds = CapacityBounds.from_uppers([5])
         with pytest.raises(ValidationError):
-            FlowAssignment((Q(3),), Q(4)).validate(g, bounds)
+            FlowAssignment((Q(3),), Q(4)).validate(g, (Q(5),))
 
 
 caps = st.fractions(min_value=0, max_value=8, max_denominator=4)
@@ -217,7 +228,7 @@ class TestFlowProperties:
     @settings(max_examples=60, deadline=None)
     def test_value_equals_cut_capacity(self, net):
         n, arcs = net
-        value, flows, cut = max_flow_arcs(n, arcs, 0, 1)
+        value, flows, cut = max_flow(n, arcs)
         cap = sum(
             (c for u, v, c in arcs if u in cut and v not in cut), Q(0)
         )
@@ -228,7 +239,7 @@ class TestFlowProperties:
     @settings(max_examples=60, deadline=None)
     def test_conservation_and_bounds(self, net):
         n, arcs = net
-        value, flows, _ = max_flow_arcs(n, arcs, 0, 1)
+        value, flows, _ = max_flow(n, arcs)
         for f, (_, _, c) in zip(flows, arcs):
             assert 0 <= f <= c
         for v in range(n):
@@ -244,7 +255,7 @@ class TestFlowProperties:
     def test_integral_caps_give_integral_flow(self, net):
         n, arcs = net
         arcs = [(u, v, Q(int(c))) for u, v, c in arcs]
-        value, flows, _ = max_flow_arcs(n, arcs, 0, 1)
+        value, flows, _ = max_flow(n, arcs)
         assert value.denominator == 1
         assert all(f.denominator == 1 for f in flows)
 
@@ -252,4 +263,4 @@ class TestFlowProperties:
     @settings(max_examples=30, deadline=None)
     def test_deterministic(self, net):
         n, arcs = net
-        assert max_flow_arcs(n, arcs, 0, 1) == max_flow_arcs(n, arcs, 0, 1)
+        assert max_flow(n, arcs) == max_flow(n, arcs)

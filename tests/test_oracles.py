@@ -118,10 +118,10 @@ class TestConcave:
 
 
 @st.composite
-def small_instances(draw, max_k=2):
+def small_instances(draw, min_k=0, max_k=2, shift_den=1):
     n = draw(st.integers(3, 5))
     m = draw(st.integers(4, 7))
-    k = draw(st.integers(0, max_k))
+    k = draw(st.integers(min_k, max_k))
     edges = []
     for _ in range(m):
         a = draw(st.integers(0, n - 1))
@@ -140,7 +140,8 @@ def small_instances(draw, max_k=2):
     sets = []
     for i in range(k):
         members = sorted(picks[2 * i : 2 * i + 2])
-        sets.append((members, shift(draw(st.integers(0, 2)))))
+        c = Q(draw(st.integers(0, 2 * shift_den)), shift_den)
+        sets.append((members, shift(c)))
     return make_instance(g, caps, sets)
 
 
@@ -154,6 +155,15 @@ class TestAgainstSolvers:
     @settings(max_examples=25, deadline=None)
     def test_integer_oracle_matches_rounding(self, inst):
         assert oracle_integer(inst) == solve_integer_constant(inst).opt_value
+
+    @given(small_instances(min_k=1, max_k=1, shift_den=2))
+    @settings(max_examples=50, deadline=None)
+    def test_integer_solver_floors_half_shifts(self, inst):
+        # One set only: there rounding the fractional optimum is exact.
+        res = solve_integer_constant(inst)
+        res.verify(inst)
+        assert all(f.denominator == 1 for f in res.flow.values)
+        assert res.opt_value == oracle_integer(inst)
 
     @given(small_instances())
     @settings(max_examples=15, deadline=None)

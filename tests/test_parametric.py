@@ -8,8 +8,9 @@ from aemflow.errors import Infeasible, UnsupportedDeviation, ValidationError
 from aemflow.graph import Graph
 from aemflow.instance import FEvaluator, make_instance
 from aemflow.ksets import solve_k_constant
-from aemflow.parametric import Slice, resolve_comparison
+from aemflow.parametric import Slice, resolve_comparison, symbolic_max_flow
 from aemflow.profile import breakpoint_profile
+from aemflow.randgen import DEVIATION_KINDS, generate_random
 from aemflow.values import DeviationFn, Order
 
 shift = DeviationFn.constant_shift
@@ -314,3 +315,31 @@ class TestAgainstDenseGrid:
                 assert s.value < res.opt_value
             if x == star:
                 assert s.value == res.opt_value
+
+
+class TestEnginesAgree:
+    """The symbolic circulation, run with every sign read at one point x,
+    gives the integer core's value at x."""
+
+    def test_symbolic_flow_at_a_point_matches_the_sample(self):
+        kinds, wide = set(), 0
+        for seed in range(60):
+            kind = DEVIATION_KINDS[seed % 3]
+            inst = generate_random(
+                5 + seed % 4, 10, 1, cap_max=6, deviation_kind=kind, seed=seed
+            )
+            sl = Slice(inst, 0, {})
+            af, bf = sl.feasible_interval()
+            wide += af < bf
+            for x in {af, bf, (af + bf) / 2, af + (bf - af) / 3}:
+
+                def sign_at_x(d, x=x):
+                    v = d.eval(x)
+                    return Order((v > 0) - (v < 0))
+
+                lower, upper = sl._symbolic_bounds(sign_at_x)
+                total = symbolic_max_flow(inst, lower, upper, sign_at_x, [x, x])
+                assert total.eval(x) == FEvaluator(inst).sample((x,)).value
+            kinds.add(kind)
+        assert kinds == set(DEVIATION_KINDS)
+        assert wide >= 30
