@@ -22,19 +22,18 @@ the minimal spacing to the simplest rational inside it, that rational is
 the optimum exactly.  A final pair of verification probes checks the
 one-sided optimality conditions.
 
-Integer optima start from the fractional solution, which is the answer
-when it is integral.  Otherwise a depth-first search pins the parameters
-one at a time, in order and in increasing integer steps, and prunes every
-branch whose fractional optimum falls short of a target value; the target
-starts at the floor of the fractional optimum and steps down until some
-integer vector reaches it.  Integer optima are solved on the instance
-with capacities and shifts floored, which has the same integral flows.
+Integer optima reuse the fractional solution: for each coordinate take
+floor and ceiling, evaluate every corner that stays feasible plus the
+all-zero point, and keep the lexicographically smallest argmax.  They are
+solved on the instance with capacities and shifts floored, which has the
+same integral flows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, floor, lcm
+from itertools import product
+from math import ceil, factorial, floor, lcm
 
 from .errors import Infeasible, UnsupportedDeviation, ValidationError, require
 from .instance import FEvaluator, HomologousSet, Instance, SolveResult
@@ -240,76 +239,16 @@ def _floor_shift(dev: DeviationFn) -> DeviationFn:
     return DeviationFn.constant_shift(floor(dev.shift_amount()))
 
 
-def _relaxation(ev: FEvaluator, method: str, root: SolveResult):
-    """Fractional optimum under pins on the leading parameters, memoized.
-
-    Uses the solver `method` picks for the fractional problem; the
-    unpinned optimum is `root`.
-    """
-    inst = ev.inst
-    if method == "auto" and inst.k >= 3:
-        from .lp import pinned_relaxation
-
-        solve = pinned_relaxation(inst)
-    else:
-
-        def solve(pins):
-            if len(pins) == inst.k:
-                s = ev.sample(pins)
-                return (pins, s.value) if s.feasible else None
-            out = _pin_solve(inst, ev, dict(enumerate(pins)), False)
-            if out is None:
-                return None
-            assign, value = out
-            return pins + tuple(assign[i] for i in range(len(pins), inst.k)), value
-
-    cache = {(): (root.lambda_star, root.opt_value)}
-
-    def relax(pins):
-        if pins not in cache:
-            cache[pins] = solve(pins)
-        return cache[pins]
-
-    return relax
-
-
-def _lex_first(relax, tops: list[int], target: int, pins: tuple = ()):
-    """Smallest integer vector extending `pins` whose value reaches `target`.
-
-    Returns None when there is none.  Along the next parameter the
-    fractional optimum is concave and peaks at the relaxation's choice x,
-    so past x the first integer that falls short ends the scan.
-    """
-    node = relax(pins)
-    if node is None or node[1] < target:
-        return None
-    i = len(pins)
-    if i == len(tops):
-        return pins
-    for t in range(tops[i] + 1):
-        sub = pins + (Fraction(t),)
-        out = relax(sub)
-        if out is None or out[1] < target:
-            if t > node[0][i]:
-                break
-            continue
-        found = _lex_first(relax, tops, target, sub)
-        if found is not None:
-            return found
-    return None
-
-
 def solve_integer_constant(inst: Instance, method: str = "auto") -> SolveResult:
-    """Lexicographically smallest best integer parameter vector.
+    """Best all-integer parameter vector for a constant-shift instance.
 
     An integral flow meets a capacity c, or a shift c over an integral set
     minimum, exactly when it meets floor(c), so the solve runs with both
-    floored and its flows stay valid for `inst`.  An integral fractional
-    optimum is the answer, since every integer vector is a fractional
-    candidate too.  Otherwise integer vectors have integer values no
-    larger than the fractional optimum, and each target from its floor
-    down is tried in turn.  Every F sample goes through the fractional
-    solve's evaluator.
+    floored and its flows stay valid for `inst`.  Rounds the fractional
+    optimum coordinate-wise, evaluates every floor/ceiling corner that
+    stays feasible together with the all-zero vector, and keeps the
+    lexicographically smallest argmax.  The corners reuse the fractional
+    solve's evaluator and so its samples.
     """
     inst = Instance(
         inst.graph,
@@ -318,11 +257,20 @@ def solve_integer_constant(inst: Instance, method: str = "auto") -> SolveResult:
     )
     ev = FEvaluator(inst)
     base = _solve_on(ev, method)
-    if all(x.denominator == 1 for x in base.lambda_star):
-        return base
-    relax = _relaxation(ev, method, base)
-    tops = [floor(inst.u_R(i)) for i in range(inst.k)]
-    target = floor(base.opt_value)
-    while (lam := _lex_first(relax, tops, target)) is None:
-        target -= 1
-    return ev.result(lam)
+    choices = []
+    for i, x in enumerate(base.lambda_star):
+        top = floor(inst.u_R(i))
+        vals = {min(floor(x), top), min(ceil(x), top)}
+        choices.append(sorted(Fraction(v) for v in vals))
+    candidates = {tuple(c) for c in product(*choices)}
+    candidates.add(tuple(Fraction(0) for _ in range(inst.k)))
+    best = None
+    best_val = None
+    for cand in sorted(candidates):
+        s = ev.sample(cand)
+        if not s.feasible:
+            continue
+        if best is None or s.value > best_val:
+            best, best_val = cand, s.value
+    require(best is not None, "the all-zero vector is always feasible")
+    return ev.result(best)

