@@ -9,6 +9,9 @@ errors, 3 infeasible, 4 budget exceeded or unsupported deviation class,
 5 internal error (a broken solver invariant).
 Failures print one machine-readable line `error <Kind>: <message>` on
 stderr.
+
+The argument parser is built on the first `main` call, not at import,
+and that one parser serves every later call in the process.
 """
 
 from __future__ import annotations
@@ -247,9 +250,15 @@ def _build_parser() -> _Parser:
     return top
 
 
+_parser: _Parser | None = None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    global _parser
     try:
-        args = _build_parser().parse_args(argv)
+        if _parser is None:
+            _parser = _build_parser()
+        args = _parser.parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"error Usage: {exc}", file=sys.stderr)

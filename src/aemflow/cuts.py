@@ -60,6 +60,20 @@ class CutReport:
             total -= sc.backward_count * x
         return total
 
+    def scaled_capacity(self, d: int, levels: Sequence[tuple[int, int]]) -> int:
+        """d * g_S(lam), from each set's (lam_i, Delta_i(lam_i)) times d.
+
+        d must clear the denominators of the cut's capacities.
+        """
+        c = self.capacity_const
+        total = c.numerator * (d // c.denominator)
+        for (lo, hi), sc in zip(levels, self.sets):
+            for u in sc.forward_uppers:
+                u = u.numerator * (d // u.denominator)
+                total += u if u < hi else hi
+            total -= sc.backward_count * lo
+        return total
+
     def right_slope(self, i: int, lam_i: Fraction) -> Fraction:
         """Derivative of g_S in lam_i just above lam_i (clamped members frozen)."""
         sc = self.sets[i]

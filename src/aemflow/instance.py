@@ -129,7 +129,8 @@ class Instance:
             )
         out = []
         for x, top in zip(lam, self.template.u_R):
-            x = Fraction(x)
+            if not isinstance(x, Fraction):
+                x = Fraction(x)
             if not 0 <= x <= top:
                 raise ValidationError(
                     f"parameter {len(out)} = {x} outside [0, {top}]"
@@ -222,19 +223,27 @@ class ArcTemplate:
         self.u_R = tuple(min(inst.capacities[e] for e in hs.edges) for hs in inst.sets)
         self.cuts: dict[frozenset[int], CutReport] = {}
 
-    def scaled_bounds(self, lam: Sequence[Fraction]) -> tuple[int, list[int], list[int]]:
-        """(d, lowers, uppers) at a checked `lam`; lam and Delta(lam) add to d."""
+    def scaled_bounds(
+        self, lam: Sequence[Fraction]
+    ) -> tuple[int, list[int], list[int], list[tuple[int, int]]]:
+        """(d, lowers, uppers, levels) at a checked `lam`, all times d.
+
+        d is the smallest common denominator of the capacities, lam and
+        Delta(lam); ``levels[i]`` is set i's (lam_i, Delta_i(lam_i)).
+        """
         tops = [dev(x) for (_, dev), x in zip(self.sets, lam)]
         d = lcm(self.den, *(x.denominator for x in lam), *(y.denominator for y in tops))
         uppers = [c * (d // self.den) for c in self.caps]
         lowers = [0] * len(uppers)
+        levels = []
         for (edges, _), x, y in zip(self.sets, lam, tops):
             lo, hi = (v.numerator * (d // v.denominator) for v in (x, y))
+            levels.append((lo, hi))
             for e in edges:
                 lowers[e] = lo
                 if hi < uppers[e]:
                     uppers[e] = hi
-        return d, lowers, uppers
+        return d, lowers, uppers, levels
 
 
 def make_instance(
@@ -286,20 +295,20 @@ def _max_flow_at(
 ) -> tuple[Fraction, tuple[int, ...], int, CutReport]:
     """Value, edge flows in units of 1/d, d and min-cut certificate at `lam`.
 
-    Raises Infeasible when the implied lower bounds admit no flow.  The
-    certificate is re-priced through the cut formula and must reproduce the
-    flow value exactly; a mismatch would mean corrupted bookkeeping, so it
-    is checked here rather than left to callers.
+    `lam` must be checked.  Raises Infeasible when the implied lower bounds
+    admit no flow.  The certificate is re-priced through the cut formula,
+    on the integers at scale d, and must reproduce the flow value exactly;
+    a mismatch would mean corrupted bookkeeping, so it is checked here
+    rather than left to callers.
     """
-    lam, t, g = inst.check_lambda(lam), inst.template, inst.graph
-    d, lowers, uppers = t.scaled_bounds(lam)
+    t, g = inst.template, inst.graph
+    d, lowers, uppers, levels = t.scaled_bounds(lam)
     value, flows, s_side = bounded_max_flow_int(
         g.n, t.pairs, g.source, g.sink, lowers, uppers, d
     )
-    value = Fraction(value, d)
     report = inst.cut_report(s_side)
-    require(report.capacity_at(lam) == value, "cut certificate mismatch")
-    return value, tuple(flows), d, report
+    require(report.scaled_capacity(d, levels) == value, "cut certificate mismatch")
+    return Fraction(value, d), tuple(flows), d, report
 
 
 def evaluate_F(
@@ -309,7 +318,7 @@ def evaluate_F(
 
     Raises Infeasible when the implied lower bounds admit no flow.
     """
-    value, _, _, report = _max_flow_at(inst, lam)
+    value, _, _, report = _max_flow_at(inst, inst.check_lambda(lam))
     return value, report
 
 
@@ -332,10 +341,13 @@ class FEvaluator:
         self.evaluations = 0
 
     def sample(self, lam: Sequence[Fraction]) -> FSample:
-        key = tuple(Fraction(x) for x in lam)
+        # Equal rationals hash equal whatever their type, so the memo is
+        # keyed by `lam` as given; only a miss converts and checks it.
+        key = tuple(lam)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
+        key = self.inst.check_lambda(key)
         self.evaluations += 1
         try:
             value, flows, d, report = _max_flow_at(self.inst, key)
@@ -348,7 +360,7 @@ class FEvaluator:
 
     def result(self, lam: Sequence[Fraction]) -> SolveResult:
         """The solve result at `lam`, which a solver found optimal."""
-        lam = tuple(Fraction(x) for x in lam)
+        lam = self.inst.check_lambda(lam)
         s = self.sample(lam)
         require(s.feasible, "the solver's optimum is infeasible")
         flows = tuple(Fraction(f, s.scale) for f in s.flows)

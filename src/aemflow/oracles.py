@@ -136,16 +136,12 @@ def oracle_fractional(
 def oracle_integer(inst: Instance, budget: int = DEFAULT_BUDGET) -> int:
     """Exact integral optimum by enumeration of integer parameter vectors.
 
-    Requires integral capacities.  Sound for deviations nondecreasing on
-    [0, u_R]; upper bounds are floored, which is lossless for integral
-    flows.
+    Sound for deviations nondecreasing on [0, u_R].  Capacities and upper
+    bounds are floored, which is lossless for integral flows.
     """
-    for c in inst.capacities:
-        if c.denominator != 1:
-            raise ValidationError(
-                "integer oracle needs integral capacities, "
-                f"found {c}"
-            )
+    inst = Instance(
+        inst.graph, tuple(Fraction(floor(c)) for c in inst.capacities), inst.sets
+    )
     grids = [
         [Fraction(v) for v in range(floor(inst.u_R(i)) + 1)]
         for i in range(inst.k)

@@ -132,7 +132,7 @@ class Slice:
         hit = self._def_cache.get(x)
         if hit is None:
             inst, t, g = self.inst, self.inst.template, self.inst.graph
-            d, lowers, uppers = t.scaled_bounds(inst.check_lambda(self.full_lambda(x)))
+            d, lowers, uppers, _ = t.scaled_bounds(inst.check_lambda(self.full_lambda(x)))
             rep = deficiency_int(g.n, t.pairs, g.source, g.sink, lowers, uppers, d)
             hit = self._def_cache[x] = (rep, d, lowers, uppers)
         return hit
@@ -252,7 +252,8 @@ class Slice:
         LESS: the optimum lies below x; EQUAL: x is the optimum; GREATER:
         the optimum lies above x.
         """
-        x = Fraction(x)
+        if not isinstance(x, Fraction):
+            x = Fraction(x)
         hit = self._resolutions.get(x)
         if hit is not None:
             return hit

@@ -64,10 +64,8 @@ class PolyValue:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        cs = tuple(_as_fraction(c) for c in self.coeffs)
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+        cs = [_as_fraction(c) for c in self.coeffs]
+        object.__setattr__(self, "coeffs", _trimmed(cs))
 
     @staticmethod
     def constant(value) -> "PolyValue":
@@ -75,36 +73,54 @@ class PolyValue:
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else -1
+        return len(self.coeffs) - 1
 
     def __add__(self, other: "PolyValue") -> "PolyValue":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [_ZERO] * (n - len(self.coeffs))
+        cs = list(self.coeffs) + [_ZERO] * (len(other.coeffs) - len(self.coeffs))
         for i, c in enumerate(other.coeffs):
-            a[i] += c
-        return PolyValue(tuple(a))
+            cs[i] += c
+        return _poly(cs)
 
     def __sub__(self, other: "PolyValue") -> "PolyValue":
-        return self + other.scale(-1)
+        cs = list(self.coeffs) + [_ZERO] * (len(other.coeffs) - len(self.coeffs))
+        for i, c in enumerate(other.coeffs):
+            cs[i] -= c
+        return _poly(cs)
 
     def __neg__(self) -> "PolyValue":
-        return self.scale(-1)
+        return _poly([-c for c in self.coeffs])
 
     def scale(self, factor) -> "PolyValue":
         f = _as_fraction(factor)
-        return PolyValue(tuple(c * f for c in self.coeffs))
+        return _poly([c * f for c in self.coeffs])
 
     def eval(self, x: Fraction) -> Fraction:
-        total = _ZERO
-        for c in reversed(self.coeffs):
+        cs = self.coeffs
+        if not cs:
+            return _ZERO
+        total = cs[-1]
+        for c in cs[-2::-1]:
             total = total * x + c
         return total
 
     def derivative(self) -> "PolyValue":
-        return PolyValue(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+        return _poly([i * c for i, c in enumerate(self.coeffs) if i])
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+
+def _trimmed(cs: list[Fraction]) -> tuple[Fraction, ...]:
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _poly(cs: list[Fraction]) -> PolyValue:
+    """A PolyValue from coefficients that are Fractions already."""
+    out = object.__new__(PolyValue)
+    object.__setattr__(out, "coeffs", _trimmed(cs))
+    return out
 
 
 @dataclass(frozen=True)
@@ -301,7 +317,7 @@ class DeviationFn:
     on the instance and are checked via :meth:`validate_on`.
     """
 
-    __slots__ = ("poly", "kind")
+    __slots__ = ("poly", "kind", "_line", "_deriv")
 
     KIND_SHIFT = "shift"
     KIND_AFFINE = "affine"
@@ -310,6 +326,13 @@ class DeviationFn:
     def __init__(self, poly: PolyValue, kind: str):
         self.poly = poly
         self.kind = kind
+        self._deriv = poly.derivative()
+        # (slope, intercept) of a degree <= 1 shape, evaluated without
+        # Horner; the slope is None for a plain shift x + c.
+        self._line = None
+        if poly.degree <= 1:
+            c0, c1 = (*poly.coeffs, _ZERO, _ZERO)[:2]
+            self._line = (None if c1 == 1 else c1, c0)
 
     @staticmethod
     def constant_shift(c) -> "DeviationFn":
@@ -330,16 +353,19 @@ class DeviationFn:
 
     @staticmethod
     def polynomial(coeffs) -> "DeviationFn":
-        poly = PolyValue(tuple(_as_fraction(c) for c in coeffs))
+        poly = PolyValue(tuple(coeffs))
         if poly.degree < 0:
             raise ValueError("empty polynomial")
-        return DeviationFn(PolyValue(poly.coeffs), DeviationFn.KIND_POLY)
+        return DeviationFn(poly, DeviationFn.KIND_POLY)
 
     def __call__(self, x: Fraction) -> Fraction:
-        return self.poly.eval(_as_fraction(x))
+        if self._line is None:
+            return self.poly.eval(x)
+        slope, intercept = self._line
+        return (x if slope is None else slope * x) + intercept
 
     def derivative_at(self, x: Fraction) -> Fraction:
-        return self.poly.derivative().eval(_as_fraction(x))
+        return self._deriv.eval(x)
 
     @property
     def degree(self) -> int:
@@ -359,7 +385,7 @@ class DeviationFn:
         # Higher degrees: concave on the half-line only if curvature never
         # turns positive; checked conservatively on the second derivative's
         # coefficients (sufficient for the shapes generators emit).
-        second = self.poly.derivative().derivative()
+        second = self._deriv.derivative()
         return all(c <= 0 for c in second.coeffs)
 
     def shift_amount(self) -> Fraction:
@@ -378,7 +404,7 @@ class DeviationFn:
         hi = _as_fraction(hi)
         if hi < lo:
             raise ValueError("empty domain")
-        deriv = self.poly.derivative()
+        deriv = self._deriv
         for x in self._extreme_points(deriv, lo, hi):
             if deriv.eval(x) < 0:
                 raise ValueError(f"deviation not monotone at x={x}")

@@ -9,7 +9,7 @@ from fractions import Fraction as Q
 import pytest
 
 import aemflow as af
-from aemflow import lp
+from aemflow import cli, lp
 from aemflow.cli import main
 
 PARALLEL = "p aemfp 2 2 1\nn 0 s\nn 1 t\na 0 0 1 4\na 1 0 1 5\nh 0 const 1 0 1\n"
@@ -232,7 +232,44 @@ class TestBreakpoints:
         assert err.startswith("error UnsupportedDeviation")
 
 
+class TestParserReuse:
+    def test_one_parser_serves_consecutive_calls(self, capsys, files, monkeypatch):
+        builds = []
+
+        def counting():
+            builds.append(None)
+            return build()
+
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", counting)
+        monkeypatch.setattr(cli, "_parser", None)
+        write, _ = files
+        path = write("h.aemfp", PARALLEL.replace("const 1 ", "const 1/2 "))
+        head = "lambda 0 4\n"
+        assert run(capsys, "solve", "--integer", path) == (
+            0, head + "value 8\nflow 0 4\nflow 1 4\ncut 0\ncutvalue 8\n", ""
+        )
+        # The --integer of the call before must not stick.
+        assert run(capsys, "solve", path) == (
+            0, head + "value 17/2\nflow 0 4\nflow 1 9/2\ncut 0\ncutvalue 17/2\n", ""
+        )
+        assert run(capsys, "solve", path, "--bogus") == (
+            2, "", "error Usage: unrecognized arguments: --bogus\n"
+        )
+        assert run(capsys, "oracle", path) == (0, "value 17/2\n", "")
+        assert len(builds) == 1
+
+
 class TestOracle:
+    def test_integer_floors_a_fractional_capacity(self, capsys, files):
+        write, _ = files
+        text = PARALLEL.replace("const 1 ", "const 1/2 ").replace(" 5\n", " 7/2\n")
+        path = write("c.aemfp", text)
+        rc, out, _ = run(capsys, "solve", path, "--integer")
+        assert rc == 0
+        assert "value 6" in out.splitlines()
+        assert run(capsys, "oracle", path, "--integer") == (0, "value 6\n", "")
+
     def test_fractional_matches_solver(self, capsys, files):
         write, _ = files
         rc, out, _ = run(capsys, "oracle", write("p.aemfp", PARALLEL))

@@ -155,7 +155,7 @@ class TestSubdivision:
 
 def bounds(inst, lam):
     """Rational (lowers, uppers) at lam, from the compiled template."""
-    d, lowers, uppers = inst.template.scaled_bounds(inst.check_lambda(lam))
+    d, lowers, uppers, _ = inst.template.scaled_bounds(inst.check_lambda(lam))
     return [Q(x, d) for x in lowers], [Q(x, d) for x in uppers]
 
 

@@ -74,15 +74,17 @@ class TestInteger:
     def test_two_parallel(self):
         assert oracle_integer(two_parallel()) == 9
 
-    def test_rejects_fractional_caps(self):
+    def test_floors_fractional_caps(self):
         g = Graph()
         g.add_node("s")
         g.add_node("t")
         g.add_edge("s", "t")
+        g.add_edge("s", "t")
         g.source, g.sink = 0, 1
-        inst = make_instance(g, [Q(7, 2)], [])
-        with pytest.raises(ValidationError):
-            oracle_integer(inst)
+        inst = make_instance(g, [Q(7, 2), Q(9, 2)], [([0, 1], shift(Q(1, 2)))])
+        # Floored: caps 3 and 4, shift 0, so both arcs carry lam <= 3.
+        assert oracle_integer(inst) == 6
+        assert solve_integer_constant(inst).opt_value == 6
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceeded):
@@ -118,7 +120,7 @@ class TestConcave:
 
 
 @st.composite
-def small_instances(draw, min_k=0, max_k=2, shift_den=1):
+def small_instances(draw, min_k=0, max_k=2, shift_den=1, cap_den=1):
     n = draw(st.integers(3, 5))
     m = draw(st.integers(4, 7))
     k = draw(st.integers(min_k, max_k))
@@ -129,7 +131,7 @@ def small_instances(draw, min_k=0, max_k=2, shift_den=1):
         if b >= a:
             b += 1
         edges.append((a, b))
-    caps = [draw(st.integers(1, 3)) for _ in range(m)]
+    caps = [Q(draw(st.integers(cap_den, 3 * cap_den)), cap_den) for _ in range(m)]
     g = Graph()
     for i in range(n):
         g.add_node(f"n{i}")
@@ -156,7 +158,7 @@ class TestAgainstSolvers:
     def test_integer_oracle_matches_rounding(self, inst):
         assert oracle_integer(inst) == solve_integer_constant(inst).opt_value
 
-    @given(small_instances(min_k=1, max_k=1, shift_den=2))
+    @given(small_instances(min_k=1, max_k=1, shift_den=2, cap_den=2))
     @settings(max_examples=50, deadline=None)
     def test_integer_solver_floors_half_shifts(self, inst):
         # One set only: there rounding the fractional optimum is exact.

@@ -88,6 +88,30 @@ class TestPolyValue:
         p = PolyValue((Q(5), Q(3), Q(2)))  # 5 + 3x + 2x^2
         assert p.derivative().coeffs == (Q(3), Q(4))
 
+    def test_int_fraction_and_str_coefficients_agree(self):
+        forms = [
+            PolyValue((3, -1, 2)),
+            PolyValue((Q(3), Q(-1), Q(2), Q(0))),
+            PolyValue(("3", "-2/2", "4/2", "0", 0)),
+            PolyValue([Q(6, 2), -1, "2"]),
+        ]
+        for p in forms:
+            assert p == forms[0] and hash(p) == hash(forms[0])
+            assert all(type(c) is Q for c in p.coeffs)
+        assert PolyValue((0, "0", Q(0))) == PolyValue(()) and PolyValue(()).degree == -1
+
+    @given(
+        st.lists(rationals, max_size=4),
+        st.lists(rationals, max_size=4),
+    )
+    def test_ring_ops_keep_the_normal_form(self, a, b):
+        pa, pb = PolyValue(tuple(a)), PolyValue(tuple(b))
+        for p in (pa + pb, pa - pb, -pa, pa.scale(0), pa.derivative()):
+            assert p == PolyValue(p.coeffs) and hash(p) == hash(PolyValue(p.coeffs))
+            assert not p.coeffs or p.coeffs[-1] != 0
+            assert all(type(c) is Q for c in p.coeffs)
+        assert (pa - pa).is_zero()
+
 
 class TestPolyRoots:
     def test_linear(self):
@@ -208,6 +232,26 @@ class TestDeviationFn:
     def test_shift_dominates_identity(self, x):
         d = DeviationFn.constant_shift(Q(5, 3))
         assert d(x) == x + Q(5, 3)
+
+    @given(
+        st.sampled_from(["shift", "affine", "quadratic"]),
+        st.fractions(min_value=0, max_value=9, max_denominator=12),
+        st.fractions(min_value=1, max_value=4, max_denominator=6),
+        st.fractions(min_value=-1, max_value=0, max_denominator=16),
+        st.fractions(min_value=-20, max_value=20, max_denominator=30),
+    )
+    def test_fast_paths_match_the_polynomial(self, shape, c, slope, curve, x):
+        if shape == "shift":
+            d = DeviationFn.constant_shift(c)
+        elif shape == "affine":
+            d = DeviationFn.affine(slope, c)
+        else:
+            d = DeviationFn.polynomial((c, slope, curve))
+            assert d.is_concave
+        assert d(x) == d.poly.eval(x)
+        assert d.derivative_at(x) == d.poly.derivative().eval(x)
+        assert type(d(x)) is Q and type(d.derivative_at(x)) is Q
+        assert d(int(c)) == d.poly.eval(Q(int(c)))
 
     def test_equality_and_hash(self):
         a = DeviationFn.constant_shift(1)
