@@ -36,7 +36,6 @@ from .instance import (
     HomologousSet,
     Instance,
     SolveResult,
-    evaluate_F,
     make_instance,
 )
 from .ksets import solve_integer_constant, solve_k_constant
@@ -70,7 +69,6 @@ __all__ = [
     "ValidationError",
     "X3CInstance",
     "breakpoint_profile",
-    "evaluate_F",
     "generate_approx_gadget",
     "generate_convex_gadget",
     "generate_random",

@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from .errors import InternalError, UnsupportedDeviation, ValidationError, require
 from .instance import FEvaluator, Instance, SolveResult
-from .parametric import _PinnedAt, symbolic_max_flow
+from .parametric import _PinnedAt, slice_bounds, symbolic_max_flow
 from .values import Order, PolyValue, poly_roots, simplest_rational_in
 
 __all__ = ["solve_concave_single"]
@@ -171,7 +171,6 @@ def solve_concave_single(inst: Instance) -> SolveResult:
     if edge == 0:
         return ev.result((_ZERO,))
 
-    members = set(inst.sets[0].edges)
     splits = {_ZERO, edge}
     for c in sorted({inst.capacities[e] for e in inst.sets[0].edges}):
         r = dev.crossing(c, _ZERO, edge)
@@ -180,22 +179,11 @@ def solve_concave_single(inst: Instance) -> SolveResult:
                 if 0 < x < edge:
                     splits.add(x)
     pts = sorted(splits)
-    lam = PolyValue((_ZERO, Fraction(1)))
-    zero = PolyValue.constant(0)
     for a, b in zip(pts, pts[1:]):
         fval(a)
         fval(b)
         mid = (a + b) / 2
-        lower: list[PolyValue] = []
-        upper: list[PolyValue] = []
-        for e in inst.graph.edges:
-            cap = PolyValue.constant(inst.capacities[e.id])
-            if e.id in members:
-                lower.append(lam)
-                upper.append(cap if dev(mid) > inst.capacities[e.id] else dev.poly)
-            else:
-                lower.append(zero)
-                upper.append(cap)
+        lower, upper = slice_bounds(inst, 0, {}, lambda u: dev(mid) > u)
         pending = [(a, b)]
         rounds = 0
         while pending:

@@ -12,6 +12,14 @@ slopes at a point follow from which forward members are clamped at their
 upper bound there; they are exactly the one-sided derivatives of g_S and,
 since g_S supports the instance's value function from above, they bound the
 value function's growth on the corresponding side.
+
+The same price serves infeasibility.  For any node set T, lower bounds
+entering T minus upper bounds leaving it is -g_T(lam).  By Hoffman's
+circulation theorem (1960) the deficiency is the largest such value over
+the sets T that do not hold t without s, and the auxiliary min cut's T
+attains it.  So F's certificates and the support lines of the deficiency
+that `Slice.feasible_interval` follows are both priced here, by one clamp
+rule.
 """
 
 from __future__ import annotations

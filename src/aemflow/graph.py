@@ -68,9 +68,6 @@ class Graph:
     def node_name(self, idx: int) -> str:
         return self._names[idx]
 
-    def has_node(self, name: str) -> bool:
-        return name in self._by_name
-
     def add_edge(self, tail: int | str, head: int | str) -> int:
         u = self.node_id(tail)
         v = self.node_id(head)
@@ -84,9 +81,6 @@ class Graph:
 
     def out_edges(self, v: int) -> list[int]:
         return self._out[v]
-
-    def in_edges(self, v: int) -> list[int]:
-        return self._in[v]
 
     def net_outflow(self, values: Sequence[Fraction], v: int) -> Fraction:
         """Flow leaving v minus flow entering it, under per-edge `values`."""
@@ -136,9 +130,6 @@ class Graph:
         for idx in (self.source, self.sink):
             if not 0 <= idx < self.n:
                 raise ValidationError("source/sink id out of range")
-
-    def node_names(self) -> list[str]:
-        return list(self._names)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,7 @@ between lam and Delta(lam).  Guessing lam turns the instance into an
 ordinary max-flow problem on the reparameterized network where R-edges get
 bounds [lam, min(u, Delta(lam))]; the instance's value function F maps the
 guess vector to that max-flow value (or to "infeasible" when the lower
-bounds cannot be met).  Everything downstream, solvers and oracles alike,
-works through evaluate_F.
+bounds cannot be met).
 
 Sets must be pairwise disjoint.  Input sets that share edges are accepted
 and normalised by subdividing each shared edge into a chain of segments,
@@ -41,7 +40,6 @@ __all__ = [
     "FSample",
     "FEvaluator",
     "make_instance",
-    "evaluate_F",
 ]
 
 
@@ -91,9 +89,6 @@ class Instance:
     def set_of_edge(self, e: int) -> int | None:
         return self._set_of_edge.get(e)
 
-    def q_edges(self) -> list[int]:
-        return [e for e in range(self.m) if e not in self._set_of_edge]
-
     def validate(self) -> None:
         self.graph.validate()
         if len(self.capacities) != self.m:
@@ -118,9 +113,6 @@ class Instance:
                 hs.deviation.validate_on(Fraction(0), top)
             except ValueError as exc:
                 raise ValidationError(f"homologous set {i}: {exc}") from exc
-
-    def lambda_box(self) -> list[tuple[Fraction, Fraction]]:
-        return [(Fraction(0), self.u_R(i)) for i in range(self.k)]
 
     def check_lambda(self, lam: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if len(lam) != self.k:
@@ -311,17 +303,6 @@ def _max_flow_at(
     return Fraction(value, d), tuple(flows), d, report
 
 
-def evaluate_F(
-    inst: Instance, lam: Sequence[Fraction]
-) -> tuple[Fraction, CutReport]:
-    """Max-flow value at the guess vector, with its min-cut certificate.
-
-    Raises Infeasible when the implied lower bounds admit no flow.
-    """
-    value, _, _, report = _max_flow_at(inst, inst.check_lambda(lam))
-    return value, report
-
-
 class FSample(NamedTuple):
     """One F evaluation; `flows` are the core's edge flows in units of 1/scale."""
 
@@ -333,7 +314,7 @@ class FSample(NamedTuple):
 
 
 class FEvaluator:
-    """Memoized evaluate_F that reports infeasibility as data, not control flow."""
+    """Memoized F samples that report infeasibility as data, not control flow."""
 
     def __init__(self, inst: Instance):
         self.inst = inst

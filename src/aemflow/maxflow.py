@@ -38,7 +38,6 @@ Pairs = Sequence[tuple[int, int]]
 class DeficiencyReport(NamedTuple):
     deficiency: Fraction
     aux_s_side: frozenset[int]
-    required: Fraction
     crosses_return: bool
 
 
@@ -190,6 +189,5 @@ def deficiency_int(
     return DeficiencyReport(
         Fraction(required - got, d),
         raw_side & frozenset(range(n)),
-        Fraction(required, d),
         t in raw_side and s not in raw_side,
     )

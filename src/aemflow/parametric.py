@@ -9,10 +9,11 @@ form a closed interval, and the optimum is the smallest maximizer.
 Three exact primitives are built on that picture:
 
 * ``Slice.feasible_interval`` finds the interval endpoints by Newton steps
-  on the circulation deficiency, a convex piecewise-linear function whose
-  one-sided slopes come from the auxiliary min cut.  Each step lands on a
-  support line's root, so finitely many max-flow calls give the exact
-  rational endpoints.
+  on the circulation deficiency, a convex piecewise-linear function.  At
+  each point it equals -g_T for the auxiliary min cut T, so the cut's
+  ``CutReport`` gives the support line, value and one-sided slope alike.
+  Each step lands on a support line's root, so finitely many max-flow
+  calls give the exact rational endpoints.
 * ``Slice.resolve`` places the optimum relative to a query point, as an
   ``Order``, using two nearby probes.  A chord with nonpositive slope on
   the left, or positive slope on the right, decides the direction
@@ -58,7 +59,7 @@ from .values import Order, PolyValue
 __all__ = [
     "Slice",
     "SliceOpt",
-    "resolve_comparison",
+    "slice_bounds",
 ]
 
 _ZERO = Fraction(0)
@@ -128,54 +129,27 @@ class Slice:
     # -- feasibility interval ------------------------------------------------
 
     def _deficiency(self, x: Fraction):
-        """(report, d, lowers, uppers): the deficiency at x and its scaled bounds."""
+        """(report, d, levels): the deficiency at x and its set levels times d."""
         hit = self._def_cache.get(x)
         if hit is None:
             inst, t, g = self.inst, self.inst.template, self.inst.graph
-            d, lowers, uppers, _ = t.scaled_bounds(inst.check_lambda(self.full_lambda(x)))
+            d, lowers, uppers, levels = t.scaled_bounds(inst.check_lambda(self.full_lambda(x)))
             rep = deficiency_int(g.n, t.pairs, g.source, g.sink, lowers, uppers, d)
-            hit = self._def_cache[x] = (rep, d, lowers, uppers)
+            hit = self._def_cache[x] = (rep, d, levels)
         return hit
 
     def _def_slope(self, x: Fraction, right: bool) -> Fraction:
-        # Slope of a support line of the deficiency at x, taken from the
-        # auxiliary min cut T: the deficiency equals sum of T's lower-bound
-        # imbalance minus the capacity crossing out of T, an expression
-        # affine in x except for the clamp min(u_r, Delta(x)) on free arcs.
-        inst = self.inst
-        rep, d, lowers, uppers = self._deficiency(x)
-        T = rep.aux_s_side
+        # The deficiency is -g_T for the auxiliary min cut T (Hoffman), so
+        # its support line at x is the negated cut capacity, priced by the
+        # same CutReport that certifies F.
+        rep, d, levels = self._deficiency(x)
         require(not rep.crosses_return, "return arc in a minimum auxiliary cut")
-        free_ids = set(inst.sets[self.free].edges)
-        dev = inst.sets[self.free].deviation
-        dx = dev(x)
-        rate = dev.derivative_at(x)
-        slope = acc = 0
-        arcs = zip(inst.template.pairs, lowers, uppers)
-        for e, ((u, v), low, up) in enumerate(arcs):
-            tin = u in T
-            hin = v in T
-            if hin:
-                acc += low
-            if tin:
-                acc -= low
-            is_free = e in free_ids
-            if is_free:
-                if hin:
-                    slope += 1
-                if tin:
-                    slope -= 1
-            if tin and not hin:
-                acc -= up - low
-                if is_free:
-                    cap = inst.capacities[e]
-                    live = dx < cap if right else dx <= cap
-                    slope -= (rate if live else _ZERO) - 1
+        cut = self.inst.cut_report(rep.aux_s_side)
         require(
-            Fraction(acc, d) == rep.deficiency,
+            -cut.scaled_capacity(d, levels) == rep.deficiency * d,
             "support line misses the deficiency value",
         )
-        return slope
+        return -(cut.right_slope if right else cut.left_slope)(self.free, x)
 
     def _def_root(self, x: Fraction, forward: bool) -> Fraction:
         rep = self._deficiency(x)[0]
@@ -330,8 +304,11 @@ class Slice:
         def sign_of(d: PolyValue) -> Order:
             return _threshold_sign(d, locate)
 
+        def clamped(u: Fraction) -> bool:
+            return _sign(dev.poly - PolyValue.constant(u), sign_of) is Order.GREATER
+
         try:
-            lower, upper = self._symbolic_bounds(sign_of)
+            lower, upper = slice_bounds(self.inst, self.free, self.fixed, clamped)
             total = symbolic_max_flow(self.inst, lower, upper, sign_of, box)
         except _PinnedAt as p:
             return self._finish(p.value)
@@ -341,36 +318,40 @@ class Slice:
         require(out.value == total.eval(star), "affine value disagrees at the optimum")
         return out
 
-    def _symbolic_bounds(
-        self, sign_of: SignOracle
-    ) -> tuple[list[PolyValue], list[PolyValue]]:
-        """Per-edge bounds as polynomials in the free parameter."""
-        inst = self.inst
-        dev = inst.sets[self.free].deviation
-        lam = PolyValue((_ZERO, Fraction(1)))
-        lower: list[PolyValue] = []
-        upper: list[PolyValue] = []
-        for e in inst.graph.edges:
-            i = inst.set_of_edge(e.id)
-            cap = PolyValue.constant(inst.capacities[e.id])
-            if i is None:
-                lower.append(_NIL)
-                upper.append(cap)
-            elif i != self.free:
-                fx = self.fixed[i]
-                di = inst.sets[i].deviation(fx)
-                lower.append(PolyValue.constant(fx))
-                upper.append(PolyValue.constant(min(inst.capacities[e.id], di)))
-            else:
-                lower.append(lam)
-                above = _sign(dev.poly - cap, sign_of) is Order.GREATER
-                upper.append(cap if above else dev.poly)
-        return lower, upper
-
     def _finish(self, x: Fraction) -> SliceOpt:
         s = self.sample(x)
         require(s.feasible, "slice optimum is infeasible")
         return SliceOpt(x, s.value)
+
+
+def slice_bounds(
+    inst: Instance,
+    free: int,
+    fixed: dict[int, Fraction],
+    clamped: Callable[[Fraction], bool],
+) -> tuple[list[PolyValue], list[PolyValue]]:
+    """Per-edge bounds as polynomials in the free set's parameter.
+
+    Pinned sets get constant bounds.  `clamped(u)` says whether a free
+    member of capacity u is capped at u rather than at the deviation.
+    """
+    dev = inst.sets[free].deviation
+    lam = PolyValue((_ZERO, Fraction(1)))
+    lower: list[PolyValue] = []
+    upper: list[PolyValue] = []
+    for e, u in enumerate(inst.capacities):
+        i = inst.set_of_edge(e)
+        if i is None:
+            lower.append(_NIL)
+            upper.append(PolyValue.constant(u))
+        elif i != free:
+            fx = fixed[i]
+            lower.append(PolyValue.constant(fx))
+            upper.append(PolyValue.constant(min(u, inst.sets[i].deviation(fx))))
+        else:
+            lower.append(lam)
+            upper.append(PolyValue.constant(u) if clamped(u) else dev.poly)
+    return lower, upper
 
 
 def _threshold_sign(d: PolyValue, locate: Callable[[Fraction], Order]) -> Order:
@@ -524,23 +505,3 @@ def symbolic_max_flow(
         net.disable(a)
     return carried + net.max_flow(g.source, g.sink)
 
-
-def resolve_comparison(
-    inst: Instance,
-    lam,
-    set_index: int = 0,
-    fixed: dict[int, Fraction] | None = None,
-) -> Order:
-    """Compare a candidate parameter value against the slice optimum.
-
-    For a single-set instance ``fixed`` may be omitted.  With several sets
-    the other parameters must be pinned, which selects the slice on which
-    the comparison is made.  Raises Infeasible when the slice is empty.
-    """
-    if inst.k < 1:
-        raise ValidationError("instance has no homologous set")
-    if fixed is None:
-        if inst.k != 1:
-            raise ValidationError("fixed values required when several sets exist")
-        fixed = {}
-    return Slice(inst, set_index, fixed).resolve(Fraction(lam))

@@ -290,15 +290,18 @@ def poly_roots(
     for r in roots:
         if r.hi < lo or r.lo > hi:
             continue
-        # Clip brackets protruding past the interval; the sign change is
-        # preserved because the interval endpoints are not roots in that case.
-        rlo, rhi = r.lo, r.hi
-        if not r.is_exact:
-            if rlo < lo and PolyValue(poly.coeffs).eval(lo) != 0:
-                rlo = lo
-            if rhi > hi and PolyValue(poly.coeffs).eval(hi) != 0:
-                rhi = hi
-        picked.append(Root(rlo, rhi) if not r.is_exact else r)
+        if r.is_exact or lo <= r.lo and r.hi <= hi:
+            picked.append(r)
+            continue
+        # A bracket protruding past the interval holds its one root inside
+        # only if the sign still changes across the clipped part, or if a
+        # clipped end is the root itself.
+        a, b = max(r.lo, lo), min(r.hi, hi)
+        fa, fb = poly.eval(a), poly.eval(b)
+        if fa == 0 or fb == 0:
+            picked.append(Root.exact(a if fa == 0 else b))
+        elif (fa < 0) != (fb < 0):
+            picked.append(Root(a, b))
     return picked
 
 

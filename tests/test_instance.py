@@ -11,7 +11,6 @@ from aemflow.graph import FlowAssignment, Graph
 from aemflow.instance import (
     FEvaluator,
     Instance,
-    evaluate_F,
     make_instance,
 )
 from aemflow.oracles import _int_value
@@ -85,7 +84,6 @@ class TestInstanceValidation:
         inst = two_parallel()
         assert inst.k == 1
         assert inst.u_R(0) == 4
-        assert inst.q_edges() == []
 
     def test_empty_set_rejected(self):
         g = Graph()
@@ -130,8 +128,7 @@ class TestSubdivision:
         assert inst.m == 2
         assert inst.sets[0].edges != inst.sets[1].edges
         # the chain forces equal flow; both sets constrain the same value
-        value, _ = evaluate_F(inst, (Q(3), Q(3)))
-        assert value == 3
+        assert FEvaluator(inst).sample((Q(3), Q(3))).value == 3
 
     def test_three_way_share(self):
         g = Graph()
@@ -145,8 +142,7 @@ class TestSubdivision:
         assert inst.m == 3
         all_edges = sorted(e for hs in inst.sets for e in hs.edges)
         assert all_edges == [0, 1, 2]
-        value, _ = evaluate_F(inst, (Q(2), Q(2), Q(2)))
-        assert value == 2
+        assert FEvaluator(inst).sample((Q(2), Q(2), Q(2))).value == 2
 
     def test_disjoint_sets_untouched(self):
         inst = two_parallel()
@@ -197,32 +193,29 @@ class TestEvaluateF:
         g.add_edge("s", "t")
         g.source, g.sink = 0, 1
         inst = make_instance(g, [10], [([0], shift(0))])
-        value, report = evaluate_F(inst, (Q(4),))
-        assert value == 4
-        assert report.capacity_at((Q(4),)) == 4
+        s = FEvaluator(inst).sample((Q(4),))
+        assert s.value == 4
+        assert s.report.capacity_at((Q(4),)) == 4
 
     def test_two_parallel_peak(self):
-        value, _ = evaluate_F(two_parallel(), (Q(4),))
-        assert value == 9
+        assert FEvaluator(two_parallel()).sample((Q(4),)).value == 9
 
     def test_bottleneck_infeasible_lambda(self):
-        inst = bottleneck()
-        value, _ = evaluate_F(inst, (Q(1),))
-        assert value == 2
-        with pytest.raises(Infeasible):
-            evaluate_F(inst, (Q(2),))
+        ev = FEvaluator(bottleneck())
+        assert ev.sample((Q(1),)).value == 2
+        assert not ev.sample((Q(2),)).feasible
 
     def test_padded_gadget_value(self):
         inst = padded_cover_gadget()
-        value, report = evaluate_F(inst, (Q(1), Q(0), Q(0), Q(1)))
-        assert value == 7
-        assert report.capacity_at((Q(1), Q(0), Q(0), Q(1))) == 7
+        s = FEvaluator(inst).sample((Q(1), Q(0), Q(0), Q(1)))
+        assert s.value == 7
+        assert s.report.capacity_at((Q(1), Q(0), Q(0), Q(1))) == 7
 
     def test_certificate_tracks_direct_computation_on_grid(self):
-        inst = two_parallel()
+        ev = FEvaluator(two_parallel())
         for lam in (Q(0), Q(1), Q(3, 2), Q(2), Q(3), Q(7, 2), Q(4)):
-            value, report = evaluate_F(inst, (lam,))
-            assert report.capacity_at((lam,)) == value
+            s = ev.sample((lam,))
+            assert s.report.capacity_at((lam,)) == s.value
 
 
 class TestFEvaluator:
@@ -399,10 +392,9 @@ class TestCompiledEvaluator:
         with pytest.raises(InternalError, match="cut certificate"):
             FEvaluator(inst).sample(lam)
         with pytest.raises(InternalError, match="cut certificate"):
-            evaluate_F(inst, (Q(1, 2),))
+            FEvaluator(inst).sample((Q(1, 2),))
 
     def test_u_R_is_the_smallest_member_capacity(self):
         inst, _ = _mixed_instance(3)
         for i, hs in enumerate(inst.sets):
             assert inst.u_R(i) == min(inst.capacities[e] for e in hs.edges)
-        assert inst.lambda_box() == [(0, inst.u_R(i)) for i in range(inst.k)]

@@ -1,17 +1,24 @@
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aemflow.errors import Infeasible, UnsupportedDeviation, ValidationError
+from aemflow.errors import (
+    Infeasible,
+    InternalError,
+    UnsupportedDeviation,
+    ValidationError,
+)
 from aemflow.graph import Graph
 from aemflow.instance import FEvaluator, make_instance
 from aemflow.ksets import solve_k_constant
-from aemflow.parametric import Slice, resolve_comparison, symbolic_max_flow
+from aemflow.parametric import Slice, slice_bounds, symbolic_max_flow
 from aemflow.profile import breakpoint_profile
 from aemflow.randgen import DEVIATION_KINDS, generate_random
 from aemflow.values import DeviationFn, Order
+from intflow import deficiency
 
 shift = DeviationFn.constant_shift
 
@@ -84,41 +91,58 @@ def two_stage():
     )
 
 
+def reference_deficiency(inst, lam):
+    """The circulation shortfall at `lam`, from bounds built here."""
+    arcs = []
+    for e, u in zip(inst.graph.edges, inst.capacities):
+        i = inst.set_of_edge(e.id)
+        if i is None:
+            arcs.append((e.tail, e.head, 0, u))
+        else:
+            x = lam[i]
+            arcs.append((e.tail, e.head, x, min(u, inst.sets[i].deviation(x))))
+    g = inst.graph
+    return deficiency(g.n, arcs, g.source, g.sink)
+
+
+def resolve(inst, x, free=0, fixed=None):
+    return Slice(inst, free, fixed or {}).resolve(x)
+
+
 class TestResolve:
     def test_two_parallel_spec_points(self):
         inst = two_parallel()
-        assert resolve_comparison(inst, 4) is Order.EQUAL
-        assert resolve_comparison(inst, 2) is Order.GREATER
-        assert resolve_comparison(inst, Q(7, 2)) is Order.GREATER
-        assert resolve_comparison(inst, 5) is Order.LESS
+        assert resolve(inst, 4) is Order.EQUAL
+        assert resolve(inst, 2) is Order.GREATER
+        assert resolve(inst, Q(7, 2)) is Order.GREATER
+        assert resolve(inst, 5) is Order.LESS
 
     def test_plateau_reports_left_edge(self):
         inst = plateau()
-        assert resolve_comparison(inst, 1) is Order.EQUAL
-        assert resolve_comparison(inst, Q(3, 2)) is Order.LESS
-        assert resolve_comparison(inst, Q(1, 2)) is Order.GREATER
+        assert resolve(inst, 1) is Order.EQUAL
+        assert resolve(inst, Q(3, 2)) is Order.LESS
+        assert resolve(inst, Q(1, 2)) is Order.GREATER
 
     def test_fractional_optimum(self):
         inst = bottleneck()
-        assert resolve_comparison(inst, Q(3, 2)) is Order.EQUAL
-        assert resolve_comparison(inst, 1) is Order.GREATER
-        assert resolve_comparison(inst, 2) is Order.LESS
+        assert resolve(inst, Q(3, 2)) is Order.EQUAL
+        assert resolve(inst, 1) is Order.GREATER
+        assert resolve(inst, 2) is Order.LESS
 
     def test_decreasing_pins_domain_start(self):
         inst = reverse_drain()
-        assert resolve_comparison(inst, 1) is Order.LESS
-        assert resolve_comparison(inst, 0) is Order.EQUAL
+        assert resolve(inst, 1) is Order.LESS
+        assert resolve(inst, 0) is Order.EQUAL
 
     def test_requires_fixed_values_for_extra_sets(self):
         inst = two_stage()
         with pytest.raises(ValidationError):
-            resolve_comparison(inst, 1)
-        where = resolve_comparison(inst, 1, set_index=1, fixed={0: Q(2)})
-        assert where is Order.EQUAL
+            resolve(inst, 1)
+        assert resolve(inst, 1, free=1, fixed={0: Q(2)}) is Order.EQUAL
 
     def test_bad_set_index(self):
         with pytest.raises(ValidationError):
-            resolve_comparison(two_parallel(), 1, set_index=3)
+            resolve(two_parallel(), 1, free=3)
 
 
 class TestFeasibleInterval:
@@ -141,11 +165,58 @@ class TestFeasibleInterval:
         with pytest.raises(Infeasible):
             Slice(inst, 1, {0: Q(3)}).feasible_interval()
 
+    def test_tampered_support_line_is_caught(self):
+        inst = two_stage()
+        rep = reference_deficiency(inst, (Q(2), Q(0)))
+        assert rep.deficiency == 2 and rep.aux_s_side == {1, 2}
+        cut = inst.cut_report(rep.aux_s_side)
+        inst.template.cuts[cut.s_side] = replace(
+            cut, capacity_const=cut.capacity_const + 1
+        )
+        with pytest.raises(InternalError, match="support line misses"):
+            Slice(inst, 1, {0: Q(2)}).feasible_interval()
+
     def test_single_point_slice(self):
         sl = Slice(two_stage(), 1, {0: Q(0)})
         assert sl.feasible_interval() == (0, 0)
         opt = sl.solve()
         assert (opt.x, opt.value) == (0, 0)
+
+
+class TestFeasibleIntervalAgainstReference:
+    """The interval ends are exactly where the reference deficiency
+    reaches zero, on shift and affine slices with the other sets pinned."""
+
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from(["const", "affine"]),
+        st.integers(1, 3),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_ends_are_the_zeros_of_the_deficiency(self, seed, kind, k, data):
+        inst = generate_random(
+            4 + seed % 4, 10, k, cap_max=6, deviation_kind=kind, seed=seed
+        )
+        free = data.draw(st.integers(0, k - 1))
+        share = st.fractions(0, 1, max_denominator=7)
+        fixed = {i: inst.u_R(i) * data.draw(share) for i in range(k) if i != free}
+        sl = Slice(inst, free, fixed)
+        u = sl.u_free
+
+        def short(x):
+            return reference_deficiency(inst, sl.full_lambda(x)).deficiency
+
+        try:
+            af, bf = sl.feasible_interval()
+        except Infeasible:
+            assert all(short(u * j / 12) > 0 for j in range(13))
+            return
+        assert short(af) == 0 and short(bf) == 0
+        if af > 0:
+            assert short(af - af / 64) > 0
+        if bf < u:
+            assert short(bf + (u - bf) / 64) > 0
 
 
 class TestSolve:
@@ -337,7 +408,8 @@ class TestEnginesAgree:
                     v = d.eval(x)
                     return Order((v > 0) - (v < 0))
 
-                lower, upper = sl._symbolic_bounds(sign_at_x)
+                dev = inst.sets[0].deviation
+                lower, upper = slice_bounds(inst, 0, {}, lambda u: dev(x) > u)
                 total = symbolic_max_flow(inst, lower, upper, sign_at_x, [x, x])
                 assert total.eval(x) == FEvaluator(inst).sample((x,)).value
             kinds.add(kind)

@@ -151,6 +151,41 @@ class TestPolyRoots:
         assert r.hi - r.lo <= Q(10) / (1 << 64)
         assert r.lo ** 2 < 2 < r.hi ** 2
 
+    def test_bracket_past_lo_around_a_root_below_lo_is_dropped(self):
+        # sqrt(2)'s bracket [41/29, 58/41] reaches past lo; the root does not.
+        p = PolyValue((Q(-2), Q(0), Q(1)))
+        assert poly_roots(p, Q(16819, 11890), Q(2), width=Q(1, 1000)) == []
+
+    def test_bracket_past_hi_around_a_root_above_hi_is_dropped(self):
+        p = PolyValue((Q(-2), Q(0), Q(1)))
+        assert poly_roots(p, Q(0), Q(1414, 1000), width=Q(1, 1000)) == []
+
+    def test_clipped_bracket_keeps_a_root_inside(self):
+        p = PolyValue((Q(-2), Q(0), Q(1)))
+        whole = poly_roots(p, Q(0), Q(2), width=Q(1, 1000))
+        assert whole == [Root(Q(41, 29), Q(58, 41))]
+        clipped = poly_roots(p, Q(707, 500), Q(2), width=Q(1, 1000))
+        assert clipped == [Root(Q(707, 500), Q(58, 41))]
+
+    def test_clipped_end_at_the_root_is_exact(self):
+        # (7x - 2)(x^2 - 3): at width 1/4 the root 2/7 comes back as the
+        # bracket [1/4, 1/3], which lo = 2/7 clips at the root itself.
+        p = PolyValue((Q(6), Q(-21), Q(-2), Q(7)))
+        assert poly_roots(p, Q(2, 7), Q(1), width=Q(1, 4)) == [Root.exact(Q(2, 7))]
+
+    @given(
+        st.fractions(Q(14, 10), Q(143, 100), max_denominator=10**5),
+        st.fractions(Q(14, 10), Q(143, 100), max_denominator=10**5),
+    )
+    def test_clipped_brackets_hold_a_root(self, lo, hi):
+        p = PolyValue((Q(-2), Q(0), Q(1)))
+        lo, hi = min(lo, hi), max(lo, hi)
+        roots = poly_roots(p, lo, hi, width=Q(1, 1000))
+        assert len(roots) == (lo * lo < 2 < hi * hi)
+        for r in roots:
+            assert lo <= r.lo < r.hi <= hi
+            assert (p.eval(r.lo) < 0) != (p.eval(r.hi) < 0)
+
     @given(rationals, rationals)
     def test_quadratic_from_rational_roots(self, r1, r2):
         # (x - r1)(x - r2) expanded; both roots must be recovered exactly.
