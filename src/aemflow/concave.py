@@ -27,7 +27,10 @@ Rational comparison thresholds keep the search exact.  Irrational ones
 (possible from degree two up) are isolated to width u_R * 2**-64 and
 candidates snap to the simplest rational inside the bracket, so answers
 are exact whenever the optimum is a rational of moderate denominator and
-off by at most the bracket width otherwise.
+off by at most the bracket width otherwise.  Forks and the shrinking
+sign box ask for the same polynomial's roots on the same box again and
+again, so each solve keeps its root brackets in a dict keyed by
+(polynomial, box ends); the dict dies with the solve.
 """
 
 from __future__ import annotations
@@ -137,13 +140,27 @@ def solve_concave_single(inst: Instance) -> SolveResult:
                 return None
         return None
 
+    # Root brackets per (polynomial, box ends), for this solve only.
+    brackets: dict[tuple, list] = {}
+
+    def roots_in(d: PolyValue, lo: Fraction, hi: Fraction):
+        key = (d, lo, hi)
+        got = brackets.get(key)
+        if got is None:
+            got = brackets[key] = poly_roots(d, lo, hi, width=tol)
+        return got
+
     def make_sign(box: list[Fraction]):
         def sign_of(d: PolyValue) -> Order:
-            for _ in range(200):
+            # poly_roots' brackets do not depend on the box; clipping only
+            # makes ends that lie on it.  Each pass moves a box end onto an
+            # interior bracket end, so at most 2 * degree passes find one
+            # and the next has none left.
+            for _ in range(2 * d.degree + 1):
                 if box[0] == box[1]:
                     raise _PinnedAt(box[0])
                 reps = []
-                for r in poly_roots(d, box[0], box[1], width=tol):
+                for r in roots_in(d, box[0], box[1]):
                     pts = (r.lo,) if r.is_exact else (r.lo, r.hi)
                     for x in pts:
                         if box[0] < x < box[1]:
@@ -210,7 +227,7 @@ def solve_concave_single(inst: Instance) -> SolveResult:
             cands = {box[0], box[1]}
             der = total.derivative()
             if der.degree >= 1:
-                for r in poly_roots(der, box[0], box[1], width=tol):
+                for r in roots_in(der, box[0], box[1]):
                     cands.add(
                         r.value
                         if r.is_exact

@@ -152,15 +152,35 @@ class Root:
         return (self.lo + self.hi) / 2
 
 
+def _simplest(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """(p, q) of the simplest rational in [an/ad, bn/bd]; ad, bd > 0, nonempty.
+
+    The continued fraction of the answer, built on integers: while no
+    integer fits, peel off f = floor(a) and map the interval through
+    t -> 1/(t - f), which flips it, extending the convergents p/q by f.
+    """
+    p0, p1, q0, q1 = 0, 1, 1, 0
+    while True:
+        c = -(-an // ad)
+        if c * bd <= bn:
+            return c * p1 + p0, c * q1 + q0
+        f = c - 1  # floor(a): a is not an integer, or c would fit
+        p0, p1, q0, q1 = p1, f * p1 + p0, q1, f * q1 + q0
+        an, ad, bn, bd = bd, bn - f * bd, ad, an - f * ad
+
+
 def simplest_rational_in(lo, hi) -> Fraction:
-    """The smallest-denominator rational in [lo, hi], smallest value on ties."""
+    """The smallest-denominator rational in [lo, hi], smallest value on ties.
+
+    Computed on integers by :func:`_simplest`: the smallest integer in the
+    interval if there is one, else floor(lo) plus the reciprocal of the
+    simplest rational in the flipped interval [1/(hi - f), 1/(lo - f)].
+    """
     lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
         raise ValueError("empty interval")
-    if math.ceil(lo) <= math.floor(hi):
-        return Fraction(math.ceil(lo))
-    a = math.floor(lo)
-    return a + 1 / simplest_rational_in(1 / (hi - a), 1 / (lo - a))
+    p, q = _simplest(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+    return Fraction(p, q)
 
 
 def _sqrt_exact(x: Fraction) -> Fraction | None:
@@ -181,6 +201,13 @@ def _bisect_root(poly: PolyValue, lo: Fraction, hi: Fraction, width: Fraction) -
     midpoint: endpoint denominators then stay near 1/width instead of
     doubling every step, which matters when callers evaluate the bracket
     ends many times afterwards.
+
+    The loop runs on integers.  Bracket ends are (num, den) pairs, the
+    width test cross-multiplies, the probe is :func:`_simplest` of the
+    middle third over the common denominator 3*ld*hd, and its sign is read
+    from the polynomial with denominators cleared, evaluated homogeneously
+    as sum c_i * p**i * q**(deg - i), which has the sign of poly(p/q)
+    because q > 0.
     """
     flo, fhi = poly.eval(lo), poly.eval(hi)
     require(
@@ -188,17 +215,25 @@ def _bisect_root(poly: PolyValue, lo: Fraction, hi: Fraction, width: Fraction) -
         "root bracket has no strict sign change",
     )
     neg_left = flo < 0
-    while hi - lo > width:
-        w = hi - lo
-        mid = simplest_rational_in(lo + w / 3, hi - w / 3)
-        fm = poly.eval(mid)
-        if fm == 0:
-            return Root.exact(mid)
-        if (fm < 0) == neg_left:
-            lo = mid
+    den = math.lcm(*(c.denominator for c in poly.coeffs))
+    cs = [c.numerator * (den // c.denominator) for c in poly.coeffs]
+    top, rest = cs[-1], cs[-2::-1]
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    wn, wd = width.numerator, width.denominator
+    while (hn * ld - ln * hd) * wd > wn * ld * hd:
+        d3 = 3 * ld * hd
+        p, q = _simplest(2 * ln * hd + hn * ld, d3, ln * hd + 2 * hn * ld, d3)
+        s, qk = top, 1
+        for c in rest:
+            qk *= q
+            s = s * p + c * qk
+        if s == 0:
+            return Root.exact(Fraction(p, q))
+        if (s < 0) == neg_left:
+            ln, ld = p, q
         else:
-            hi = mid
-    return Root(lo, hi)
+            hn, hd = p, q
+    return Root(Fraction(ln, ld), Fraction(hn, hd))
 
 
 def _quadratic_roots(poly: PolyValue, width: Fraction) -> list[Root]:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from aemflow import concave
 from aemflow.concave import solve_concave_single
 from aemflow.errors import UnsupportedDeviation, ValidationError
 from aemflow.graph import Graph
@@ -191,3 +192,35 @@ class TestAffineRandom:
         res = solve_concave_single(inst)
         assert res.lambda_star == (Q(3, 4),)
         assert res.opt_value == Q(41, 4)
+
+
+def c08_instances():
+    """The affine and quadratic instances of acceptance check c08."""
+    for i in range(30):
+        yield generate_random(
+            2 + (i % 5),
+            1 + (i * 5) % 10,
+            1,
+            cap_max=5,
+            deviation_kind="quadratic" if i % 2 else "affine",
+            seed=1300 + i,
+        )
+
+
+class TestBracketMemo:
+    def test_no_root_query_repeats_within_a_solve(self, monkeypatch):
+        asked = []
+        real = concave.poly_roots
+
+        def recording(poly, lo, hi, width=None):
+            asked.append((poly, lo, hi))
+            return real(poly, lo, hi, width)
+
+        monkeypatch.setattr(concave, "poly_roots", recording)
+        total = 0
+        for inst in c08_instances():
+            asked.clear()
+            solve_concave_single(inst)
+            assert len(asked) == len(set(asked))
+            total += len(asked)
+        assert total > 0

@@ -10,7 +10,7 @@ from aemflow.graph import Graph
 from aemflow.instance import FEvaluator, make_instance
 from aemflow.ksets import solve_integer_constant, solve_k_constant
 from aemflow.randgen import generate_random
-from aemflow.values import DeviationFn, simplest_rational_in
+from aemflow.values import DeviationFn
 
 shift = DeviationFn.constant_shift
 
@@ -79,42 +79,6 @@ def twin_gadgets(copies=2):
         caps += [Q(10), Q(10)]
         sets.append(([e1, e2], shift(0)))
     return make_instance(g, caps, sets)
-
-
-class TestSimplestRational:
-    @pytest.mark.parametrize(
-        "lo,hi,want",
-        [
-            (Q(2, 7), Q(1, 3), Q(1, 3)),
-            (Q(3, 2), Q(3, 2), Q(3, 2)),
-            (Q(22, 10), Q(57, 10), Q(3)),
-            (Q(0), Q(0), Q(0)),
-            (Q(1, 3), Q(1, 2), Q(1, 2)),
-            (Q(140, 100), Q(160, 100), Q(3, 2)),
-            (Q(0), Q(5), Q(0)),
-        ],
-    )
-    def test_known(self, lo, hi, want):
-        assert simplest_rational_in(lo, hi) == want
-
-    def test_empty_interval_rejected(self):
-        with pytest.raises(ValueError):
-            simplest_rational_in(Q(1, 2), Q(1, 3))
-
-    @given(
-        st.fractions(min_value=0, max_value=8, max_denominator=40),
-        st.fractions(min_value=0, max_value=8, max_denominator=40),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_minimal_denominator(self, a, b):
-        lo, hi = min(a, b), max(a, b)
-        r = simplest_rational_in(lo, hi)
-        assert lo <= r <= hi
-        for d in range(1, r.denominator):
-            # No rational with a smaller denominator fits the interval.
-            import math
-
-            assert math.ceil(lo * d) > math.floor(hi * d)
 
 
 class TestSolveK:

@@ -1,15 +1,21 @@
+import math
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import refroots
+from aemflow.errors import InternalError
 from aemflow.parametric import _SymNet, _threshold_sign
 from aemflow.values import (
     DeviationFn,
     Order,
     PolyValue,
     Root,
+    _bisect_root,
+    _simplest,
     poly_roots,
+    simplest_rational_in,
 )
 
 rationals = st.fractions(
@@ -206,6 +212,152 @@ class TestPolyRoots:
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
             poly_roots(PolyValue(()), Q(0), Q(1))
+
+
+NEAR_2_70 = st.integers((1 << 70) - (1 << 20), (1 << 70) + (1 << 20))
+signed = st.sampled_from([1, -1])
+
+
+class TestSimplestRational:
+    @pytest.mark.parametrize(
+        "lo,hi,want",
+        [
+            (Q(2, 7), Q(1, 3), Q(1, 3)),
+            (Q(3, 2), Q(3, 2), Q(3, 2)),
+            (Q(22, 10), Q(57, 10), Q(3)),
+            (Q(0), Q(0), Q(0)),
+            (Q(1, 3), Q(1, 2), Q(1, 2)),
+            (Q(140, 100), Q(160, 100), Q(3, 2)),
+            (Q(0), Q(5), Q(0)),
+        ],
+    )
+    def test_known(self, lo, hi, want):
+        assert simplest_rational_in(lo, hi) == want
+
+    def test_empty_interval_rejected(self):
+        with pytest.raises(ValueError):
+            simplest_rational_in(Q(1, 2), Q(1, 3))
+
+    @given(
+        st.fractions(min_value=0, max_value=8, max_denominator=40),
+        st.fractions(min_value=0, max_value=8, max_denominator=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_minimal_denominator(self, a, b):
+        lo, hi = min(a, b), max(a, b)
+        r = simplest_rational_in(lo, hi)
+        assert lo <= r <= hi
+        for d in range(1, r.denominator):
+            # No rational with a smaller denominator fits the interval.
+            assert math.ceil(lo * d) > math.floor(hi * d)
+
+    @given(
+        st.fractions(min_value=-60, max_value=60, max_denominator=10**6),
+        st.fractions(min_value=-60, max_value=60, max_denominator=10**6),
+    )
+    @settings(max_examples=300)
+    def test_matches_the_fraction_recursion(self, a, b):
+        lo, hi = min(a, b), max(a, b)
+        assert simplest_rational_in(lo, hi) == refroots.simplest_rational_in(lo, hi)
+
+    @given(st.fractions(min_value=-60, max_value=60, max_denominator=10**9))
+    def test_point_interval_is_its_point(self, x):
+        assert simplest_rational_in(x, x) == refroots.simplest_rational_in(x, x) == x
+
+    @given(st.integers(-(10**9), 10**9), st.integers(0, 10**9))
+    def test_integer_endpoints(self, a, w):
+        got = simplest_rational_in(a, a + w)
+        assert got == refroots.simplest_rational_in(a, a + w) == a
+
+    @given(
+        st.integers(-(10**6), 10**6),
+        st.fractions(Q(1, 10**9), 1 - Q(1, 10**9), max_denominator=10**9),
+    )
+    def test_one_integer_endpoint(self, a, w):
+        for lo, hi in ((Q(a) - w, Q(a)), (Q(a), Q(a) + w)):
+            got = simplest_rational_in(lo, hi)
+            assert got == refroots.simplest_rational_in(lo, hi) == a
+
+    @given(NEAR_2_70, NEAR_2_70, NEAR_2_70, NEAR_2_70, signed, signed)
+    @settings(max_examples=300)
+    def test_terms_near_2_70(self, an, ad, bn, bd, sa, sb):
+        lo, hi = sorted((Q(sa * an, ad), Q(sb * bn, bd)))
+        assert simplest_rational_in(lo, hi) == refroots.simplest_rational_in(lo, hi)
+        # Narrow intervals with huge terms: a long continued fraction.
+        lo, hi = Q(sa * an, bd), Q(sa * an + 1, bd)
+        lo, hi = min(lo, hi), max(lo, hi)
+        assert simplest_rational_in(lo, hi) == refroots.simplest_rational_in(lo, hi)
+
+    @given(
+        st.fractions(min_value=-60, max_value=60, max_denominator=10**6),
+        st.fractions(min_value=-60, max_value=60, max_denominator=10**6),
+        st.integers(1, 1 << 40),
+        st.integers(1, 1 << 40),
+    )
+    def test_unreduced_terms_give_the_reduced_answer(self, a, b, j, k):
+        lo, hi = min(a, b), max(a, b)
+        p, q = _simplest(
+            lo.numerator * j, lo.denominator * j, hi.numerator * k, hi.denominator * k
+        )
+        assert q > 0 and math.gcd(p, q) == 1
+        assert Q(p, q) == refroots.simplest_rational_in(lo, hi)
+
+
+@st.composite
+def irrational_quadratics(draw):
+    """a * ((x - v)**2 - D) with D > 0 not a rational square, and B**2 > D."""
+    a = draw(st.fractions(-20, 20, max_denominator=50).filter(bool))
+    v = draw(st.fractions(-100, 100, max_denominator=10**4))
+    n, m = draw(st.integers(1, 10**6)), draw(st.integers(1, 1000))
+    assume(math.isqrt(n * m) ** 2 != n * m)
+    d = Q(n, m)
+    poly = PolyValue((a * (v * v - d), -2 * a * v, a))
+    return poly, v, Q(math.isqrt(math.ceil(d)) + 1)
+
+
+class TestBisectRoot:
+    @given(irrational_quadratics(), st.integers(1, 10**6), st.integers(0, 64))
+    @settings(max_examples=150, deadline=None)
+    def test_brackets_match_the_fraction_loop(self, quad, u_r, k):
+        poly, v, b = quad
+        width = Q(u_r, 1 << k)
+        for lo, hi in ((v - b, v), (v, v + b)):
+            got = _bisect_root(poly, lo, hi, width)
+            assert got == refroots.bisect_root(poly, lo, hi, width)
+            assert not got.is_exact and got.hi - got.lo <= width
+            assert (poly.eval(got.lo) < 0) != (poly.eval(got.hi) < 0)
+
+    @given(irrational_quadratics())
+    @settings(max_examples=50, deadline=None)
+    def test_poly_roots_keeps_its_brackets(self, quad):
+        poly, v, b = quad
+        c0, c1, c2 = poly.coeffs
+        # The closed form's brackets: the vertex, plus or minus a bound on
+        # the half-width sqrt(disc) / (2|c2|).
+        disc = c1 * c1 - 4 * c2 * c0
+        p, q = disc.numerator, disc.denominator
+        half = Q(math.isqrt(p * q) + 1, q) / (2 * abs(c2))
+        width = (2 * b) / (1 << 64)
+        want = [
+            refroots.bisect_root(poly, v - half, v, width),
+            refroots.bisect_root(poly, v, v + half, width),
+        ]
+        assert poly_roots(poly, v - b, v + b, width) == want
+
+    def test_probe_on_a_rational_root_is_exact(self):
+        # (3x - 2)(x^2 + 1): the first probe 1/2 moves lo, the second is 2/3.
+        p = PolyValue((Q(-2), Q(3), Q(-2), Q(3)))
+        got = _bisect_root(p, Q(0), Q(1), Q(1, 1 << 64))
+        assert got == Root.exact(Q(2, 3))
+        assert got == refroots.bisect_root(p, Q(0), Q(1), Q(1, 1 << 64))
+
+    def test_bracket_without_a_sign_change_rejected(self):
+        p = PolyValue((Q(-2), Q(0), Q(1)))
+        with pytest.raises(InternalError):
+            _bisect_root(p, Q(2), Q(3), Q(1, 1000))
+        with pytest.raises(InternalError):
+            # An end on the root is no strict sign change either.
+            _bisect_root(PolyValue((Q(-4), Q(0), Q(1))), Q(0), Q(2), Q(1, 1000))
 
 
 class TestDeviationFn:
