@@ -39,7 +39,7 @@ __all__ = [
     "write_result",
 ]
 
-_RATIONAL = re.compile(r"-?\d+(/[1-9]\d*)?\Z")
+_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?\Z")
 
 
 def _rational(tok: str, ln: int, what: str) -> Fraction:
@@ -49,7 +49,7 @@ def _rational(tok: str, ln: int, what: str) -> Fraction:
 
 
 def _index(tok: str, ln: int, what: str) -> int:
-    if not tok.isdigit():
+    if not (tok.isascii() and tok.isdigit()):
         raise ParseError(f"{what} {tok!r} is not a nonnegative integer", line=ln)
     return int(tok)
 

@@ -1,19 +1,20 @@
-"""Exact maximization over several constant-shift sets.
+"""Exact maximization over constant-shift sets.
 
-The value function F is jointly concave over the convex feasible region,
-so maximizing out all but the first parameter leaves a concave univariate
-function h whose smallest maximizer is the first coordinate of the
-lexicographically smallest optimum.  Each level of the search handles one
-coordinate:
+One set is the exact one-parameter slice solver.  Two sets use nested
+search: F is jointly concave over the convex feasible region, so
+maximizing out the second parameter leaves a concave univariate function
+h of the first, whose smallest maximizer is the first coordinate of the
+lexicographically smallest optimum.
 
-* the innermost level is the exact one-parameter slice solver;
-* every outer level runs a probe-pair search on h, narrowing a bracket
-  that always contains the smallest maximizer.  Probes that fall outside
-  the (convex, hence interval) feasible projection count as minus
-  infinity.  Equal probe values are disambiguated with one midpoint
-  sample: a strictly larger midpoint means the peak is inside, an equal
-  one means the bracket sits on the flat top and the maximizer is at or
-  left of the first probe.
+* Each probe x of h is the slice solver on the second set with the first
+  pinned to x.  An empty slice counts as minus infinity; the feasible
+  projection is an interval that starts at zero, because the all-zero
+  point is always feasible.
+* A probe-pair search on h narrows a bracket that always contains the
+  smallest maximizer.  Equal probe values are disambiguated with one
+  midpoint sample: a strictly larger midpoint means the peak is inside,
+  an equal one means the bracket sits on the flat top and the maximizer
+  is at or left of the first probe.
 
 The bracket never needs to shrink to a point.  Every candidate optimum is
 a rational whose denominator is bounded by the instance data (it solves a
@@ -21,6 +22,9 @@ small integer-slope linear system), so once the bracket is shorter than
 the minimal spacing to the simplest rational inside it, that rational is
 the optimum exactly.  A final pair of verification probes checks the
 one-sided optimality conditions.
+
+Three or more sets go to the exact simplex in ``lp``; nested search
+refuses them.
 
 Integer optima reuse the fractional solution: for each coordinate take
 floor and ceiling, evaluate every corner that stays feasible plus the
@@ -33,11 +37,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import ceil, factorial, floor, lcm
+from math import ceil, floor, lcm
 
 from .errors import Infeasible, UnsupportedDeviation, ValidationError, require
 from .instance import FEvaluator, HomologousSet, Instance, SolveResult
-from .parametric import Slice
+from .parametric import Slice, SliceOpt
 from .values import DeviationFn, simplest_rational_in
 
 __all__ = [
@@ -47,128 +51,62 @@ __all__ = [
 
 
 def _lattice_bound(inst: Instance) -> int:
-    """Denominator bound for optimum coordinates of a constant-shift instance.
+    """Denominator bound for optimum coordinates of a two-set instance.
 
-    Candidates solve linear systems whose rows are cut or deficiency
+    Candidates solve 2x2 linear systems whose rows are cut or deficiency
     slopes, bounded per set by twice the member count, with data scaled by
     the common denominator.  Hadamard-style overcounting is fine here: the
     bound only steers how far brackets shrink.
     """
     coeffs = [c for hs in inst.sets for c in hs.deviation.poly.coeffs]
     d = lcm(inst.template.den, *(c.denominator for c in coeffs))
-    b = factorial(inst.k)
+    b = 2 * d * d
     for hs in inst.sets:
         b *= 2 * max(1, len(hs.edges))
-    return b * d ** max(2, inst.k)
+    return b
 
 
-def _pin_solve(
-    inst: Instance,
-    ev: FEvaluator,
-    pinned: dict[int, Fraction],
-    anchored: bool,
-):
-    """Lexicographic optimum over the coordinates not pinned yet.
+def _pin_solve(inst: Instance, ev: FEvaluator) -> tuple[tuple[Fraction, ...], Fraction]:
+    """Lexicographically smallest optimum of a two-set instance, and its value.
 
-    Returns (assignment dict, optimum value) or None when no remaining
-    choice is feasible.  ``anchored`` marks the outermost call, where the
-    all-zero point guarantees the feasible projection starts at zero.
+    Searches the first coordinate x; each probe solves the second set's
+    slice with the first pinned to x.
     """
-    free = [i for i in range(inst.k) if i not in pinned]
-    require(free, "no free coordinate left to solve")
-    if len(free) == 1:
-        try:
-            opt = Slice(inst, free[0], pinned, ev).solve()
-        except Infeasible:
-            return None
-        return {free[0]: opt.x}, opt.value
+    bound = _lattice_bound(inst)
+    cache: dict[Fraction, SliceOpt | None] = {}
 
-    i = free[0]
-    scale = 1
-    for v in pinned.values():
-        scale *= v.denominator
-    bound = _lattice_bound(inst) * scale
-    cache: dict[Fraction, tuple | None] = {}
-
-    def hval(x: Fraction):
+    def hval(x: Fraction) -> SliceOpt | None:
         if x not in cache:
-            cache[x] = _pin_solve(inst, ev, {**pinned, i: x}, False)
+            try:
+                cache[x] = Slice(inst, 1, {0: x}, ev).solve()
+            except Infeasible:
+                cache[x] = None
         return cache[x]
 
-    p, q = Fraction(0), inst.u_R(i)
+    p, q = Fraction(0), inst.u_R(0)
     while True:
         r = simplest_rational_in(p, q)
         if q - p < Fraction(1, bound * r.denominator):
             break
         w = (q - p) / 3
-        # Snapping probes to simple rationals keeps the denominators of
-        # pinned values (and so the deeper lattice bounds) small.  Any
-        # strictly interior probe pair works for the narrowing arguments.
+        # Snapping probes to simple rationals keeps the pinned value's
+        # denominator, and so the slice arithmetic, small.  Any strictly
+        # interior probe pair works for the narrowing arguments.
         x1 = simplest_rational_in(p + 2 * w / 3, p + 4 * w / 3)
         x2 = simplest_rational_in(q - 4 * w / 3, q - 2 * w / 3)
         require(p < x1 < x2 < q, "probes must sit strictly inside the bracket")
         r1, r2 = hval(x1), hval(x2)
         gap = x2 - x1
         xm = simplest_rational_in(x1 + gap / 3, x2 - gap / 3)
-        if r1 is None and r2 is None:
-            if anchored:
-                q = x1
-                continue
-            # The feasible projection is an interval that misses both
-            # probes, so it sits wholly in one of the three gaps.  Try the
-            # middle, the bracket endpoints, then geometric descents
-            # toward each endpoint; refuse rather than guess if the
-            # region hides between probes on both sides.
-            if hval(xm) is not None:
-                p, q = x1, x2
-                continue
-            fp, fq = hval(p) is not None, hval(q) is not None
-            require(not (fp and fq), "interval region cannot skip a probe")
-            if fp:
-                q = x1
-                continue
-            if fq:
-                p = x2
-                continue
-            lw, rw = x1 - p, q - x2
-            floor_w = Fraction(1, bound * bound)
-            shrunk = False
-            for j in range(1, 64):
-                if lw / 3**j < floor_w and rw / 3**j < floor_w:
-                    break
-                if hval(p + lw / 3**j) is not None:
-                    q = x1
-                    shrunk = True
-                    break
-                if hval(q - rw / 3**j) is not None:
-                    p = x2
-                    shrunk = True
-                    break
-            if shrunk:
-                continue
-            # Probing cannot tell an empty projection from one hiding
-            # between probes; an exact feasibility witness settles it.
-            from .lp import feasible_completion
-
-            witness = feasible_completion(inst, pinned)
-            if witness is None:
-                return None
-            w = witness[i]
-            require(w != x1 and w != x2, "feasibility witness lands on a probe")
-            if w < x1:
-                q = x1
-            elif w > x2:
-                p = x2
-            else:
-                p, q = x1, x2
         if r1 is None:
-            require(not anchored, "feasible projection must start at zero")
-            p = x1
+            # The feasible projection starts at zero, so it ends before x1.
+            require(r2 is None, "feasible projection must start at zero")
+            q = x1
             continue
         if r2 is None:
             q = x2
             continue
-        v1, v2 = r1[1], r2[1]
+        v1, v2 = r1.value, r2.value
         if v1 < v2:
             p = x1
         elif v1 > v2:
@@ -176,7 +114,7 @@ def _pin_solve(
         else:
             rm = hval(xm)
             require(rm is not None, "midpoint between feasible probes is infeasible")
-            vm = rm[1]
+            vm = rm.value
             require(vm >= v1, "midpoint below equal probes on a concave curve")
             if vm > v1:
                 p, q = x1, x2
@@ -191,12 +129,11 @@ def _pin_solve(
     delta = Fraction(1, 2 * bound * r.denominator)
     if r > 0:
         left = hval(r - delta)
-        require(left is None or left[1] < out[1], "smaller maximizer exists")
-    if r + delta <= inst.u_R(i):
+        require(left is None or left.value < out.value, "smaller maximizer exists")
+    if r + delta <= inst.u_R(0):
         right = hval(r + delta)
-        require(right is None or right[1] <= out[1], "larger value to the right")
-    assign, value = out
-    return {**assign, i: r}, value
+        require(right is None or right.value <= out.value, "larger value to the right")
+    return (r, out.x), out.value
 
 
 def _solve_on(ev: FEvaluator, method: str) -> SolveResult:
@@ -207,17 +144,21 @@ def _solve_on(ev: FEvaluator, method: str) -> SolveResult:
     for i, hs in enumerate(inst.sets):
         if not hs.deviation.is_constant_shift:
             raise UnsupportedDeviation(f"set {i}: constant-shift deviation required here")
+    if method == "parametric" and inst.k >= 3:
+        raise UnsupportedDeviation(
+            "nested search handles at most two homologous sets; "
+            "--method auto uses the simplex"
+        )
     if inst.k == 0:
         return ev.result(())
     if inst.k == 1:
         return ev.result((Slice(inst, 0, {}, ev).solve().x,))
-    if method == "auto" and inst.k >= 3:
+    if inst.k == 2:
+        lam, value = _pin_solve(inst, ev)
+    else:
         from .lp import _lp_optimum
 
         lam, value = _lp_optimum(inst)
-    else:
-        assign, value = _pin_solve(inst, ev, {}, True)
-        lam = tuple(assign[i] for i in range(inst.k))
     out = ev.result(lam)
     require(out.opt_value == value, "the optimum's flow disagrees with its value")
     return out
@@ -226,8 +167,9 @@ def _solve_on(ev: FEvaluator, method: str) -> SolveResult:
 def solve_k_constant(inst: Instance, method: str = "auto") -> SolveResult:
     """Lexicographically smallest optimum over all constant-shift sets.
 
-    ``method`` is ``auto`` (nested search up to two sets, exact linear
-    programming beyond) or ``parametric`` (nested search at any depth).
+    Up to two sets both methods run the slice solver or nested search.
+    Beyond two, ``auto`` runs exact linear programming and ``parametric``
+    raises `UnsupportedDeviation`.
     """
     return _solve_on(FEvaluator(inst), method)
 

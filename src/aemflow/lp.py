@@ -34,7 +34,7 @@ from fractions import Fraction
 from .errors import UnsupportedDeviation, require
 from .instance import FEvaluator, Instance, SolveResult
 
-__all__ = ["solve_lp_constant", "feasible_completion"]
+__all__ = ["solve_lp_constant"]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -256,22 +256,3 @@ def solve_lp_constant(inst: Instance) -> SolveResult:
     require(out.opt_value == value, "flow recomputation must match the program")
     return out
 
-
-def feasible_completion(
-    inst: Instance, pinned: dict[int, Fraction] | None = None
-) -> tuple[Fraction, ...] | None:
-    """A parameter vector extending ``pinned`` whose slice is nonempty.
-
-    Returns None when no extension is feasible.  Exact: the joint program
-    describes precisely the vectors whose reparameterized network admits
-    a flow.
-    """
-    _check_affine(inst)
-    prog = _Program(inst)
-    pins = [
-        (inst.m + i, Fraction(v)) for i, v in sorted((pinned or {}).items())
-    ]
-    xs = prog.solve([_ZERO] * prog.nvar, pins=pins)
-    if xs is None:
-        return None
-    return tuple(xs[inst.m + i] for i in range(inst.k))

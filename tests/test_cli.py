@@ -92,17 +92,17 @@ class TestSolve:
         write, _ = files
         inst = af.generate_random(3, 3, 3, seed=2)
         path = write("r.aemfp", af.write_instance(inst))
-        rc, out, _ = run(capsys, "solve", path, "--integer")
-        assert rc == 0
-        value = [line for line in out.splitlines() if line.startswith("value ")]
 
         def no_simplex(inst):
             raise AssertionError("the parametric method ran the simplex")
 
         monkeypatch.setattr(lp, "_lp_optimum", no_simplex)
-        rc, out, _ = run(capsys, "solve", path, "--integer", "--method", "parametric")
-        assert rc == 0
-        assert [line for line in out.splitlines() if line.startswith("value ")] == value
+        rc, out, err = run(capsys, "solve", path, "--integer", "--method", "parametric")
+        assert (rc, out) == (4, "")
+        assert err == (
+            "error UnsupportedDeviation: nested search handles at most two "
+            "homologous sets; --method auto uses the simplex\n"
+        )
 
     def test_deterministic_bytes(self, capsys, files):
         write, _ = files
@@ -118,6 +118,19 @@ class TestExitCodes:
         rc, _, err = run(capsys, "solve", write("b.aemfp", "p aemfp 1\n"))
         assert rc == 2
         assert err.startswith("error ParseError: line 1")
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("p aemfp \u00b2 1 0\nn 0 s\nn 1 t\na 0 0 1 3\n", 1),
+            ("p aemfp 2 1 0\nn 0 s\nn 1 t\na 0 0 1 \u0661\u0662\n", 4),
+        ],
+    )
+    def test_non_ascii_digit_is_2(self, capsys, files, text, line):
+        write, _ = files
+        rc, out, err = run(capsys, "solve", write("u.aemfp", text))
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error ParseError: line {line}: ")
 
     def test_missing_file_is_2(self, capsys):
         rc, _, err = run(capsys, "solve", "/nonexistent/path.aemfp")

@@ -114,6 +114,17 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="line 4"):
             parse_instance(text)
 
+    @pytest.mark.parametrize(
+        "text,needle",
+        [
+            ("p aemfp \u00b2 1 0\nn 0 s\nn 1 t\na 0 0 1 3\n", "line 1: node count"),
+            ("p aemfp 2 1 0\nn 0 s\nn 1 t\na 0 0 1 \u0661\u0662\n", "line 4: capacity"),
+        ],
+    )
+    def test_only_ascii_digits(self, text, needle):
+        with pytest.raises(ParseError, match=needle):
+            parse_instance(text)
+
     def test_self_loop_is_validation_error(self):
         with pytest.raises(ValidationError):
             parse_instance("p aemfp 2 1 0\nn 0 s\nn 1 t\na 0 1 1 3\n")

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aemflow import instance
-from aemflow.errors import InternalError, UnsupportedDeviation, ValidationError
+from aemflow.errors import UnsupportedDeviation, ValidationError
 from aemflow.graph import Graph
 from aemflow.instance import FEvaluator, make_instance
 from aemflow.ksets import solve_integer_constant, solve_k_constant
@@ -115,23 +115,21 @@ class TestSolveK:
         assert res.opt_value == 6
         res.verify(inst)
 
-    def test_three_sets_parametric_recursion(self):
+    def test_three_sets_parametric_recursion(self, monkeypatch):
         inst = twin_gadgets(3)
-        res = solve_k_constant(inst, method="parametric")
+        res = solve_k_constant(inst)
         assert res.lambda_star == (Q(3, 2), Q(3, 2), Q(3, 2))
         assert res.opt_value == 9
         res.verify(inst)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=InternalError,
-        reason="lattice rounding in _pin_solve leaves the feasible region at k = 3",
-    )
-    def test_three_sets_nested_search_stays_feasible(self):
-        inst = generate_random(5, 9, 3, cap_max=12, seed=831)
-        res = solve_k_constant(inst, "parametric")
-        res.verify(inst)
-        assert res.opt_value == solve_k_constant(inst).opt_value
+        def no_sample(*args):
+            raise AssertionError("nested search sampled F at k = 3")
+
+        monkeypatch.setattr(instance, "_max_flow_at", no_sample)
+        for inst in (twin_gadgets(3), generate_random(5, 9, 3, cap_max=12, seed=831)):
+            for solve in (solve_k_constant, solve_integer_constant):
+                with pytest.raises(UnsupportedDeviation, match="at most two"):
+                    solve(inst, "parametric")
 
     def test_rejects_affine_deviation(self):
         g = Graph()

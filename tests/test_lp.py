@@ -8,9 +8,10 @@ from aemflow import lp
 from aemflow.errors import UnsupportedDeviation
 from aemflow.gadgets import generate_x3c_gadget, x3c_yes_instance
 from aemflow.graph import Graph
-from aemflow.instance import FEvaluator, make_instance
+from aemflow.instance import make_instance
 from aemflow.ksets import solve_integer_constant, solve_k_constant
-from aemflow.lp import feasible_completion, solve_lp_constant
+from aemflow.lp import solve_lp_constant
+from aemflow.randgen import generate_random
 from aemflow.values import DeviationFn
 
 shift = DeviationFn.constant_shift
@@ -101,26 +102,6 @@ class TestAffine:
             solve_lp_constant(inst)
 
 
-class TestFeasibleCompletion:
-    def test_narrow_slice_witness(self):
-        inst = two_stage()
-        w = feasible_completion(inst, {0: Q(3)})
-        assert w is not None
-        assert w[0] == 3
-        assert Q(2) <= w[1] <= Q(3)
-        assert FEvaluator(inst).sample(w).feasible
-
-    def test_empty_extension(self):
-        inst = shared_bottleneck()
-        assert feasible_completion(inst, {0: Q(4)}) is None
-
-    def test_unpinned_gives_origin_region_point(self):
-        inst = shared_bottleneck()
-        w = feasible_completion(inst)
-        assert w is not None
-        assert FEvaluator(inst).sample(w).feasible
-
-
 @st.composite
 def paired_instances(draw):
     n = draw(st.integers(3, 5))
@@ -156,6 +137,20 @@ class TestCrossSolver:
         assert a.lambda_star == b.lambda_star
         a.verify(inst)
         b.verify(inst)
+
+    @pytest.mark.parametrize("n", [10, 20, 40])
+    def test_beyond_oracle_reach(self, monkeypatch, n):
+        insts = [generate_random(n, 2 * n, 2, cap_max=12, seed=s) for s in range(20)]
+        expected = [solve_lp_constant(inst) for inst in insts]
+        assert any(any(a.lambda_star) for a in expected)
+
+        def no_simplex(*args):
+            raise AssertionError("nested search ran the simplex")
+
+        monkeypatch.setattr(lp, "_simplex_min", no_simplex)
+        for inst, a in zip(insts, expected):
+            b = solve_k_constant(inst, "parametric")
+            assert (b.lambda_star, b.opt_value) == (a.lambda_star, a.opt_value)
 
 
 @pytest.fixture
