@@ -48,8 +48,7 @@ class X3CInstance:
     triples: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.q <= 0 or self.q % 3:
-            raise ValidationError("universe size must be a positive multiple of 3")
+        _check_universe(self.q)
         norm = []
         for t in self.triples:
             ids = tuple(sorted(int(e) for e in t))
@@ -97,8 +96,14 @@ def has_exact_cover(x3c: X3CInstance) -> bool:
     return False
 
 
+def _check_universe(q: int) -> None:
+    if q <= 0 or q % 3:
+        raise ValidationError("universe size must be a positive multiple of 3")
+
+
 def x3c_yes_instance(q: int) -> X3CInstance:
     """Canonical yes input: the partition {3l,3l+1,3l+2} padded to q triples."""
+    _check_universe(q)
     cover = [(3 * l, 3 * l + 1, 3 * l + 2) for l in range(q // 3)]
     pad = [cover[0]] * (q - len(cover))
     return X3CInstance(q, tuple(cover + pad))
@@ -111,6 +116,7 @@ def x3c_no_instance(q: int) -> X3CInstance:
     would need two disjoint ones).  At q = 3 every triple equals the whole
     universe, so the only coverless input is the empty collection.
     """
+    _check_universe(q)
     if q == 3:
         return X3CInstance(3, ())
     rest = list(range(1, q))

@@ -96,8 +96,6 @@ def _pin_solve(inst: Instance, ev: FEvaluator) -> tuple[tuple[Fraction, ...], Fr
         x2 = simplest_rational_in(q - 4 * w / 3, q - 2 * w / 3)
         require(p < x1 < x2 < q, "probes must sit strictly inside the bracket")
         r1, r2 = hval(x1), hval(x2)
-        gap = x2 - x1
-        xm = simplest_rational_in(x1 + gap / 3, x2 - gap / 3)
         if r1 is None:
             # The feasible projection starts at zero, so it ends before x1.
             require(r2 is None, "feasible projection must start at zero")
@@ -112,7 +110,8 @@ def _pin_solve(inst: Instance, ev: FEvaluator) -> tuple[tuple[Fraction, ...], Fr
         elif v1 > v2:
             q = x2
         else:
-            rm = hval(xm)
+            gap = x2 - x1
+            rm = hval(simplest_rational_in(x1 + gap / 3, x2 - gap / 3))
             require(rm is not None, "midpoint between feasible probes is infeasible")
             vm = rm.value
             require(vm >= v1, "midpoint below equal probes on a concave curve")

@@ -17,9 +17,15 @@ optimum.  oracle_concave_single brackets the 1-D maximizer of a concave
 value function by a grid pass plus interval shrinking, with no claim of
 exactness, only a width guarantee on the final bracket.
 
-All candidates are pre-scaled to a single integer grid so the inner loop
-runs the integer flow core directly instead of re-deriving a common
-denominator per sample.
+The enumeration is exhaustive over the candidate cross product, and the
+budget counts candidates, not max flows.  A candidate's max flow is
+skipped only when a cut from an earlier flow settles it by weak duality
+at the candidate's own bounds: a Hoffman violator proves it infeasible,
+or a min cut bounds its value by the best found so far.  Neither assumes
+anything about the shape of the deviations.  All candidates are
+pre-scaled to a single integer grid so the inner loop runs the integer
+flow core directly instead of re-deriving a common denominator per
+sample.
 """
 
 from __future__ import annotations
@@ -43,21 +49,27 @@ DEFAULT_BUDGET = 10**6
 
 
 def _int_value(n, pairs, s, t, lowers, uppers):
-    """Max s-t flow value for integer bounds, or None when infeasible."""
+    """(max s-t flow value, s side of a min cut) for integer bounds.
+
+    When the bounds are infeasible the value is None and the side is the
+    super-source side of the circulation's min cut, a set whose in-arcs'
+    lower bounds exceed its out-arcs' upper bounds.
+    """
     if not any(lowers):
         net = _Net(n)
         for (u, v), c in zip(pairs, uppers):
             net.add(u, v, c)
-        return net.max_flow(s, t)
+        return net.max_flow(s, t), net.reachable(s)
     net, _, helpers, ts, required, sigma, tau = _aux_net(
         n, pairs, s, t, lowers, uppers
     )
     if net.max_flow(sigma, tau) < required:
-        return None
+        return None, net.reachable(sigma).intersection(range(n))
     carried = net.cap[ts ^ 1]
     for a in helpers:
         net.disable(a)
-    return carried + net.max_flow(s, t)
+    value = carried + net.max_flow(s, t)
+    return value, net.reachable(s).intersection(range(n))
 
 
 def _best_over(
@@ -69,7 +81,17 @@ def _best_over(
     """Max scaled flow value over the candidate cross product, with scale.
 
     ``tops[i][j]`` is the upper bound that candidate ``grids[i][j]`` puts
-    on the members of set i.
+    on the members of set i.  Every candidate is accounted for, but its
+    flow is skipped when a cut from an earlier flow already settles it.
+    For a node set S, the slack of a candidate is the sum of the upper
+    bounds on the arcs leaving S minus the lower bounds on the arcs
+    entering S.  A circulation with a t->s return arc needs slack >= 0 on
+    every S the return arc does not leave (Hoffman), and every flow is at
+    most the slack of any S holding s but not t (max-flow/min-cut).  The
+    slack is a sum of per-set terms, so each cut is stored pre-summed: a
+    constant plus one row per set, indexed by the candidate.  No candidate
+    beats the ceiling, the max flow with every lower bound dropped and
+    every set at its largest upper bound, so reaching it ends the search.
     """
     count = 1
     for g in grids:
@@ -82,33 +104,124 @@ def _best_over(
     dens += [x.denominator for g in grids for x in g]
     dens += [d.denominator for col in tops for d in col]
     scale = lcm(*dens) if dens else 1
-    caps = [int(c * scale) for c in inst.capacities]
-    lows = [[int(x * scale) for x in g] for g in grids]
-    tops = [[int(d * scale) for d in col] for col in tops]
+
+    def scaled(x):
+        return x.numerator * (scale // x.denominator)
+
+    caps = [scaled(c) for c in inst.capacities]
+    lows = [[scaled(x) for x in g] for g in grids]
+    tops = [[scaled(d) for d in col] for col in tops]
     g = inst.graph
     pairs = [(e.tail, e.head) for e in g.edges]
     n, s, t = g.n, g.source, g.sink
     members = [hs.edges for hs in inst.sets]
-    best = None
-    for idx in product(*(range(len(g)) for g in grids)):
+    owner = [-1] * inst.m
+    for i, edges in enumerate(members):
+        for e in edges:
+            owner[e] = i
+    # ups[i][j][e]: the upper bound of member e of set i under candidate j.
+    ups = [
+        [{e: min(caps[e], top) for e in edges} for top in col]
+        for edges, col in zip(members, tops)
+    ]
+    usable = [
+        [j for j, (lo, up) in enumerate(zip(low, col)) if lo <= min(up.values())]
+        for low, col in zip(lows, ups)
+    ]
+
+    def bounds(idx):
         lowers = [0] * inst.m
         uppers = caps[:]
-        ok = True
         for i, j in enumerate(idx):
-            lo, top = lows[i][j], tops[i][j]
-            for e in members[i]:
-                lowers[e] = lo
-                if top < uppers[e]:
-                    uppers[e] = top
-                if lo > uppers[e]:
-                    ok = False
-        if not ok:
-            continue
-        v = _int_value(n, pairs, s, t, lowers, uppers)
-        if v is not None and (best is None or v > best):
-            best = v
+            for e, u in ups[i][j].items():
+                lowers[e] = lows[i][j]
+                uppers[e] = u
+        return lowers, uppers
+
+    def presum(side, lowers, uppers):
+        """The cut's slack rows, and its slack at the given bounds."""
+        const, rows = 0, [[0] * len(low) for low in lows]
+        slack = 0
+        for e, (u, v) in enumerate(pairs):
+            i = owner[e]
+            if u in side and v not in side:
+                slack += uppers[e]
+                if i < 0:
+                    const += caps[e]
+                else:
+                    rows[i] = [r + up[e] for r, up in zip(rows[i], ups[i])]
+            elif v in side and u not in side:
+                slack -= lowers[e]
+                if i >= 0:
+                    rows[i] = [r - lo for r, lo in zip(rows[i], lows[i])]
+        return (const, rows), slack
+
+    ceiling_uppers = [
+        c if i < 0 else min(c, max(tops[i])) for c, i in zip(caps, owner)
+    ]
+    ceiling, _ = _int_value(n, pairs, s, t, [0] * inst.m, ceiling_uppers)
+    if not members:
+        return ceiling, scale  # the one candidate, with no bounds to drop
+
+    def here(cut, prefix):
+        """The cut's slack at a prefix of the candidate, and its last row."""
+        const, rows = cut
+        return const + sum(r[j] for r, j in zip(rows, prefix)), rows[-1]
+
+    hoffman, value_cuts = [], []
+    seen: set[tuple[bool, frozenset[int]]] = set()
+    best = None
+    *outer, last = usable
+    for prefix in product(*outer):
+        hoffman_here = [here(c, prefix) for c in hoffman]
+        value_here = [here(c, prefix) for c in value_cuts]
+        for j in last:
+            if any(b + row[j] < 0 for b, row in hoffman_here):
+                continue
+            if best is not None and any(b + row[j] <= best for b, row in value_here):
+                continue
+            lowers, uppers = bounds((*prefix, j))
+            v, side = _int_value(n, pairs, s, t, lowers, uppers)
+            if (v is None, side) not in seen:
+                seen.add((v is None, side))
+                cut, slack = presum(side, lowers, uppers)
+                b, row = here(cut, prefix)
+                require(b + row[j] == slack, "pre-summed cut slack")
+                if v is None:
+                    require(
+                        slack < 0 and (s in side or t not in side),
+                        "infeasible candidate without a Hoffman violator",
+                    )
+                    hoffman.append(cut)
+                    hoffman_here.append((b, row))
+                else:
+                    require(
+                        slack == v and s in side and t not in side,
+                        "max flow value differs from its cut",
+                    )
+                    value_cuts.append(cut)
+                    value_here.append((b, row))
+            if v is not None and (best is None or v > best):
+                best = v
+                if best == ceiling:
+                    return best, scale
     require(best is not None, "the all-zero parameter vector is feasible")
     return best, scale
+
+
+def _lattice(top: Fraction, m: int) -> list[Fraction]:
+    """Every N/D in [0, top] with 1 <= D <= m, ascending.
+
+    Walks the Farey sequence of order m: a/b < c/d are neighbours, and the
+    next term is (kc - a)/(kd - b) with k = (m + b) // d.
+    """
+    out = []
+    a, b, c, d = 0, 1, 1, m
+    while a * top.denominator <= top.numerator * b:
+        out.append(Fraction(a, b))
+        k = (m + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+    return out
 
 
 def oracle_fractional(
@@ -120,14 +233,7 @@ def oracle_fractional(
     count.  Raises BudgetExceeded when the cross product is larger than
     budget.
     """
-    grids = []
-    for i in range(inst.k):
-        top = inst.u_R(i)
-        cands = set()
-        for d in range(1, inst.m + 1):
-            for num in range(floor(top * d) + 1):
-                cands.add(Fraction(num, d))
-        grids.append(sorted(cands))
+    grids = [_lattice(inst.u_R(i), inst.m) for i in range(inst.k)]
     tops = [[hs.deviation(x) for x in g] for hs, g in zip(inst.sets, grids)]
     best, scale = _best_over(inst, grids, tops, budget)
     return Fraction(best, scale)

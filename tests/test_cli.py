@@ -343,3 +343,20 @@ class TestGenerate:
         )
         assert rc == 2
         assert err.startswith("error ValidationError")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (kind, "--q", q, *extra)
+            for kind, extra in (("x3c", ()), ("approx", ("--k", "1")), ("convex", ()))
+            for q in ("0", "1", "2", "-3")
+        ]
+        + [("x3c", "--q", "1", "--variant", "no")],
+    )
+    def test_q_below_a_multiple_of_3_is_2(self, capsys, files, argv):
+        write, tmp = files
+        rc, _, err = run(capsys, "generate", *argv, "-o", str(tmp / "x.aemfp"))
+        assert rc == 2
+        assert err == (
+            "error ValidationError: universe size must be a positive multiple of 3\n"
+        )

@@ -36,6 +36,12 @@ class TestX3CInstance:
         with pytest.raises(ValidationError):
             X3CInstance(0, ())
 
+    @pytest.mark.parametrize("q", [0, 1, 2, 4, -3])
+    def test_canonical_inputs_reject_bad_universe(self, q):
+        for build in (x3c_yes_instance, x3c_no_instance):
+            with pytest.raises(ValidationError, match="positive multiple of 3"):
+                build(q)
+
     def test_rejects_bad_triples(self):
         with pytest.raises(ValidationError):
             X3CInstance(3, ((0, 1, 1),))

@@ -364,7 +364,7 @@ class TestCompiledEvaluator:
                 except Infeasible:
                     ref = None
                 pairs, d, lowers, uppers = scaled(arcs)
-                iv = _int_value(g.n, pairs, g.source, g.sink, lowers, uppers)
+                iv, iside = _int_value(g.n, pairs, g.source, g.sink, lowers, uppers)
                 s = FEvaluator(inst).sample(lam)
                 assert s.feasible == (ref is not None) == (rdef.deficiency == 0)
                 assert s.feasible == (iv is not None)
@@ -372,9 +372,12 @@ class TestCompiledEvaluator:
                 if ref is not None:
                     value, flows, side = ref
                     assert s.value == value == Q(iv, d)
+                    assert iside == side
                     assert tuple(Q(f, s.scale) for f in s.flows) == flows
                     assert s.report.s_side == side
                     assert s.report == twin.cut_report(side)
+                else:
+                    assert iside == rdef.aux_s_side
                 fixed = {i: x for i, x in enumerate(lam) if i != free}
                 rep = Slice(inst, free, fixed)._deficiency(lam[free])[0]
                 assert rep == rdef

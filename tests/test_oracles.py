@@ -1,10 +1,13 @@
 from fractions import Fraction as Q
+from itertools import product
+from math import floor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aemflow.errors import BudgetExceeded, ValidationError
+from aemflow import oracles
+from aemflow.errors import BudgetExceeded, Infeasible, InternalError, ValidationError
 from aemflow.graph import Graph
 from aemflow.instance import FEvaluator, make_instance
 from aemflow.ksets import solve_integer_constant, solve_k_constant
@@ -13,7 +16,10 @@ from aemflow.oracles import (
     oracle_fractional,
     oracle_integer,
 )
+from aemflow.randgen import DEVIATION_KINDS, generate_random
 from aemflow.values import DeviationFn
+from intflow import bounded_flow
+from test_acceptance import mixed_family
 
 shift = DeviationFn.constant_shift
 
@@ -189,8 +195,100 @@ class TestAgainstSolvers:
 
 
 def _integer_grid(inst):
-    from itertools import product
-    from math import floor
-
     axes = [range(floor(inst.u_R(i)) + 1) for i in range(inst.k)]
     return [tuple(map(Q, idx)) for idx in product(*axes)]
+
+
+def _plain_lattice(top, m):
+    return {Q(num, d) for d in range(1, m + 1) for num in range(floor(top * d) + 1)}
+
+
+def _exhaustive(inst, integer):
+    """The oracles' optimum, one rational max flow for every candidate.
+
+    The same lattice as the oracles: N/D in [0, u_R] with D <= m, or the
+    integers with capacities and deviations floored.
+    """
+    g = inst.graph
+    caps = list(inst.capacities)
+    if integer:
+        caps = [Q(floor(c)) for c in caps]
+        axes = [range(floor(inst.u_R(i)) + 1) for i in range(inst.k)]
+    else:
+        axes = [_plain_lattice(inst.u_R(i), inst.m) for i in range(inst.k)]
+    best = None
+    for lam in product(*axes):
+        lower, upper = [Q(0)] * inst.m, caps[:]
+        for x, hs in zip(lam, inst.sets):
+            top = hs.deviation(Q(x))
+            if integer:
+                top = floor(top)
+            for e in hs.edges:
+                lower[e], upper[e] = Q(x), min(upper[e], top)
+        if any(lo > up for lo, up in zip(lower, upper)):
+            continue
+        arcs = [(e.tail, e.head, lower[e.id], upper[e.id]) for e in g.edges]
+        try:
+            value = bounded_flow(g.n, arcs, g.source, g.sink)[0]
+        except Infeasible:
+            continue
+        best = value if best is None else max(best, value)
+    return best
+
+
+@pytest.mark.parametrize("top", [Q(0), Q(1), Q(7, 3), Q(5), Q(19, 4)])
+@pytest.mark.parametrize("m", [1, 2, 7, 12])
+def test_lattice_is_the_sorted_candidate_set(top, m):
+    assert oracles._lattice(top, m) == sorted(_plain_lattice(top, m))
+
+
+class TestPruning:
+    """Skipping candidates that a stored cut settles leaves every value as
+    a plain enumeration finds it."""
+
+    @pytest.mark.parametrize("kind", DEVIATION_KINDS)
+    @given(
+        n=st.integers(3, 5),
+        m=st.integers(3, 6),
+        k=st.integers(1, 2),
+        seed=st.integers(0, 10**6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_plain_enumeration(self, kind, n, m, k, seed):
+        inst = generate_random(n, m, k, cap_max=3, deviation_kind=kind, seed=seed)
+        assert oracle_fractional(inst) == _exhaustive(inst, integer=False)
+        assert oracle_integer(inst) == _exhaustive(inst, integer=True)
+
+    def test_two_set_flow_count(self, monkeypatch):
+        # Regression gate on the k = 2 instances of acceptance test c04:
+        # without pruning they take 313796 max flows.
+        calls = 0
+        real = oracles._int_value
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(oracles, "_int_value", counted)
+        insts = [inst for i in range(200) if (inst := mixed_family(i)).k == 2]
+        for inst in insts:
+            oracle_fractional(inst)
+        assert len(insts) == 66
+        assert calls == 2265
+
+    def test_wrong_cut_is_caught(self, monkeypatch):
+        real = oracles._int_value
+        monkeypatch.setattr(
+            oracles, "_int_value", lambda *args: (real(*args)[0], frozenset())
+        )
+        with pytest.raises(InternalError, match="differs from its cut"):
+            oracle_fractional(two_parallel())
+
+
+@pytest.mark.parametrize("m", [16, 20])
+def test_beyond_the_plain_enumeration_reach(m):
+    # A plain enumeration needed seconds for one m = 16 instance.
+    for seed in range(10):
+        inst = generate_random(8, m, 2, cap_max=5, seed=seed)
+        assert oracle_fractional(inst) == solve_k_constant(inst).opt_value, seed
