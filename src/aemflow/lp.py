@@ -22,9 +22,17 @@ rows whose pivot-column entry is nonzero, touching just those columns.
 Each phase prices its reduced-cost row once and carries it below the
 basic rows, where every pivot updates it like any other row, instead of
 re-pricing it from the basis on every iteration.  Rows stay dense Python
-lists, so the ratio test reads a column in place.  Integral entries, the
-great majority on these flow programs, are held as ints and the rest as
-Fractions; every division goes through Fraction, so no float arises.
+lists, so the ratio test reads a column in place.
+
+Entries are ints wherever they are integral and Fractions only where
+they are not: the constraint rows are built that way once per program,
+and a pivot turns every integral result back into an int on the spot.
+On the flow programs almost every cell is an int and almost every pivot
+element is 1, so nearly all of the work is int arithmetic.  The ratio
+test compares b_i/a_i with b_j/a_j as b_i*a_j against b_j*a_i (both a
+positive), so on int cells it stays in ints.  Every division goes through
+Fraction, so no float arises, and every value, hence every choice of
+Bland's rule, is exactly what an all-Fraction tableau would hold.
 """
 
 from __future__ import annotations
@@ -37,7 +45,6 @@ from .instance import FEvaluator, Instance, SolveResult
 __all__ = ["solve_lp_constant"]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _exact(v):
@@ -53,15 +60,18 @@ def _pivot(tab, basis, prow, pcol):
     """
     row = tab[prow]
     piv = row[pcol]
-    nz = [j for j, v in enumerate(row) if v]
     if piv != 1:
-        for j in nz:
-            row[j] = _exact(Fraction(row[j]) / piv)
+        for j, v in enumerate(row):
+            if v:
+                x = Fraction(v) / piv
+                row[j] = x if x.denominator != 1 else x.numerator
+    nz = [(j, v) for j, v in enumerate(row) if v]
     for i, r in enumerate(tab):
         f = r[pcol]
         if f and i != prow:
-            for j in nz:
-                r[j] = _exact(r[j] - f * row[j])
+            for j, v in nz:
+                x = r[j] - f * v
+                r[j] = x if type(x) is int or x.denominator != 1 else x.numerator
     basis[prow] = pcol
 
 
@@ -77,25 +87,32 @@ def _optimize(tab, basis, cost, ncols):
         if cb:
             for j, v in enumerate(row):
                 if v:
-                    red[j] = _exact(red[j] - cb * v)
+                    x = red[j] - cb * v
+                    red[j] = x if type(x) is int or x.denominator != 1 else x.numerator
     rows = len(basis)
     tab.append(red)
     while True:
-        enter = next((j for j in range(ncols) if red[j] < 0), -1)
+        enter = -1
+        for j in range(ncols):
+            if red[j] < 0:
+                enter = j
+                break
         if enter == -1:
             break
-        leave, best = -1, None
+        # Smallest ratio b/a over a > 0, compared cross-multiplied; ties
+        # go to the smallest basic variable.
+        leave = -1
         for i in range(rows):
             row = tab[i]
             a = row[enter]
             if a > 0:
-                ratio = Fraction(row[-1]) / a
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leave])
-                ):
-                    best, leave = ratio, i
+                b = row[-1]
+                if leave == -1:
+                    leave, lb, la = i, b, a
+                    continue
+                lhs, rhs = b * la, lb * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, lb, la = i, b, a
         if leave == -1:
             break
         _pivot(tab, basis, leave, enter)
@@ -110,7 +127,9 @@ def _simplex_min(c, A, b):
     base = n + m
     tab, basis, art = [], [], 0
     for i in range(m):
-        row = [_exact(v) for v in A[i]] + [0] * (m + nart) + [_exact(b[i])]
+        row = [v if type(v) is int else _exact(v) for v in A[i]]
+        row += [0] * (m + nart)
+        row.append(_exact(b[i]))
         row[n + i] = 1
         if b[i] < 0:
             row = [-v for v in row]
@@ -137,7 +156,7 @@ def _simplex_min(c, A, b):
         tab = [tab[i][:base] + [tab[i][-1]] for i in keep]
         basis = [basis[i] for i in keep]
 
-    cost2 = list(c) + [_ZERO] * m
+    cost2 = list(c) + [0] * m
     ok = _optimize(tab, basis, cost2, base)
     require(ok, "flow programs are bounded by their capacities")
     x = [_ZERO] * n
@@ -162,52 +181,58 @@ def _check_affine(inst: Instance) -> None:
 
 
 class _Program:
-    """Shared constraint rows; objectives and pins vary per solve."""
+    """Shared constraint rows; objectives and pins vary per solve.
+
+    The row order numbers the slack columns, which Bland's rule reads: per
+    inner node its conservation row and the negation, per set member its
+    lower and upper bound rows, then the capacities, then the u_R caps.
+    """
 
     def __init__(self, inst: Instance):
         self.inst = inst
+        g = inst.graph
         m, k = inst.m, inst.k
         self.nvar = m + k
-        self.rows: list[list[Fraction]] = []
-        self.rhs: list[Fraction] = []
+        self.rows: list[list] = []
+        self.rhs: list = []
 
         def add(pairs, limit):
-            row = [_ZERO] * self.nvar
+            row = [0] * self.nvar
             for j, coeff in pairs:
-                row[j] = Fraction(coeff)
+                row[j] = _exact(coeff)
             self.rows.append(row)
-            self.rhs.append(Fraction(limit))
+            self.rhs.append(_exact(limit))
 
-        for v in range(inst.n):
-            if v in (inst.graph.source, inst.graph.sink):
-                continue
-            pairs = {}
-            for e in inst.graph.edges:
-                if e.head == v:
-                    pairs[e.id] = pairs.get(e.id, _ZERO) + 1
-                if e.tail == v:
-                    pairs[e.id] = pairs.get(e.id, _ZERO) - 1
-            add(pairs.items(), 0)
-            add([(j, -c) for j, c in pairs.items()], 0)
+        # Conservation at every inner node, filled in one pass over the arcs.
+        ends = (g.source, g.sink)
+        inner = {v: [0] * self.nvar for v in range(inst.n) if v not in ends}
+        for e in g.edges:
+            if e.head in inner:
+                inner[e.head][e.id] += 1
+            if e.tail in inner:
+                inner[e.tail][e.id] -= 1
+        for row in inner.values():
+            self.rows += (row, [-v for v in row])
+            self.rhs += (0, 0)
 
         for i, hs in enumerate(inst.sets):
             poly = hs.deviation.poly
-            a0 = poly.coeffs[0] if poly.coeffs else _ZERO
-            a1 = poly.coeffs[1] if poly.degree >= 1 else _ZERO
+            a0 = poly.coeffs[0] if poly.coeffs else 0
+            a1 = poly.coeffs[1] if poly.degree >= 1 else 0
             for e in hs.edges:
-                add([(e, -_ONE), (m + i, _ONE)], 0)
-                add([(e, _ONE), (m + i, -a1)], a0)
+                add([(e, -1), (m + i, 1)], 0)
+                add([(e, 1), (m + i, -a1)], a0)
 
         for e, u in enumerate(inst.capacities):
-            add([(e, _ONE)], u)
+            add([(e, 1)], u)
         for i in range(k):
-            add([(m + i, _ONE)], inst.u_R(i))
+            add([(m + i, 1)], inst.u_R(i))
 
-        self.value_row = [_ZERO] * self.nvar
-        for e in inst.graph.edges:
-            if e.tail == inst.graph.source:
+        self.value_row = [0] * self.nvar
+        for e in g.edges:
+            if e.tail == g.source:
                 self.value_row[e.id] += 1
-            if e.head == inst.graph.source:
+            if e.head == g.source:
                 self.value_row[e.id] -= 1
 
     def solve(self, objective, extra=(), pins=()):
@@ -218,12 +243,12 @@ class _Program:
             rows.append(row)
             rhs.append(limit)
         for var, val in pins:
-            row = [_ZERO] * self.nvar
-            row[var] = _ONE
+            row = [0] * self.nvar
+            row[var] = 1
             rows.append(row)
-            rhs.append(Fraction(val))
+            rhs.append(val)
             rows.append([-v for v in row])
-            rhs.append(-Fraction(val))
+            rhs.append(-val)
         return _simplex_min(objective, rows, rhs)
 
 
@@ -241,8 +266,8 @@ def _lp_optimum(inst: Instance) -> tuple[tuple[Fraction, ...], Fraction]:
 
     pins: list[tuple[int, Fraction]] = []
     for i in range(k):
-        obj = [_ZERO] * prog.nvar
-        obj[m + i] = _ONE
+        obj = [0] * prog.nvar
+        obj[m + i] = 1
         xs = prog.solve(obj, extra=value_pin, pins=pins)
         require(xs is not None, "value pin cannot cut off the optimum")
         pins.append((m + i, xs[m + i]))

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import floor, lcm
+from math import floor, lcm, prod
 
 from .errors import BudgetExceeded, ValidationError, require
 from .instance import FEvaluator, Instance
@@ -72,11 +72,19 @@ def _int_value(n, pairs, s, t, lowers, uppers):
     return value, net.reachable(s).intersection(range(n))
 
 
+def _over_budget(budget: int, count: int | None = None) -> BudgetExceeded:
+    what = "the" if count is None else str(count)
+    return BudgetExceeded(
+        f"{what} oracle candidates exceed the budget of {budget}",
+        candidates=count,
+        budget=budget,
+    )
+
+
 def _best_over(
     inst: Instance,
     grids: list[list[Fraction]],
     tops: list[list[Fraction]],
-    budget: int,
 ):
     """Max scaled flow value over the candidate cross product, with scale.
 
@@ -93,13 +101,6 @@ def _best_over(
     beats the ceiling, the max flow with every lower bound dropped and
     every set at its largest upper bound, so reaching it ends the search.
     """
-    count = 1
-    for g in grids:
-        count *= len(g)
-    if count > budget:
-        raise BudgetExceeded(
-            f"{count} oracle candidates exceed the budget of {budget}"
-        )
     dens = [c.denominator for c in inst.capacities]
     dens += [x.denominator for g in grids for x in g]
     dens += [d.denominator for col in tops for d in col]
@@ -209,15 +210,19 @@ def _best_over(
     return best, scale
 
 
-def _lattice(top: Fraction, m: int) -> list[Fraction]:
+def _lattice(top: Fraction, m: int, limit: int | None = None) -> list[Fraction]:
     """Every N/D in [0, top] with 1 <= D <= m, ascending.
 
     Walks the Farey sequence of order m: a/b < c/d are neighbours, and the
-    next term is (kc - a)/(kd - b) with k = (m + b) // d.
+    next term is (kc - a)/(kd - b) with k = (m + b) // d.  Given a limit,
+    the walk stops once it holds more than limit terms, so a huge top
+    costs no more than the limit.
     """
     out = []
     a, b, c, d = 0, 1, 1, m
     while a * top.denominator <= top.numerator * b:
+        if limit is not None and len(out) > limit:
+            break
         out.append(Fraction(a, b))
         k = (m + b) // d
         a, b, c, d = c, d, k * c - a, k * d - b
@@ -231,11 +236,18 @@ def oracle_fractional(
 
     Candidates per set are all N/D in [0, u_R] with D from 1 to the edge
     count.  Raises BudgetExceeded when the cross product is larger than
-    budget.
+    budget, before any grid grows past what the budget leaves it.
     """
-    grids = [_lattice(inst.u_R(i), inst.m) for i in range(inst.k)]
+    grids, count = [], 1
+    for i in range(inst.k):
+        if count > budget:
+            break
+        grids.append(_lattice(inst.u_R(i), inst.m, budget // count))
+        count *= len(grids[-1])
+    if count > budget:
+        raise _over_budget(budget)
     tops = [[hs.deviation(x) for x in g] for hs, g in zip(inst.sets, grids)]
-    best, scale = _best_over(inst, grids, tops, budget)
+    best, scale = _best_over(inst, grids, tops)
     return Fraction(best, scale)
 
 
@@ -248,15 +260,15 @@ def oracle_integer(inst: Instance, budget: int = DEFAULT_BUDGET) -> int:
     inst = Instance(
         inst.graph, tuple(Fraction(floor(c)) for c in inst.capacities), inst.sets
     )
-    grids = [
-        [Fraction(v) for v in range(floor(inst.u_R(i)) + 1)]
-        for i in range(inst.k)
-    ]
+    sizes = [floor(inst.u_R(i)) + 1 for i in range(inst.k)]
+    if prod(sizes) > budget:
+        raise _over_budget(budget, prod(sizes))
+    grids = [[Fraction(v) for v in range(size)] for size in sizes]
     tops = [
         [Fraction(floor(hs.deviation(x))) for x in grid]
         for hs, grid in zip(inst.sets, grids)
     ]
-    best, _ = _best_over(inst, grids, tops, budget)
+    best, _ = _best_over(inst, grids, tops)
     return best
 
 

@@ -4,6 +4,7 @@ Everything runs in process through cli.main so exit codes and the exact
 bytes on stdout/stderr are observable without subprocesses.
 """
 
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -16,6 +17,10 @@ PARALLEL = "p aemfp 2 2 1\nn 0 s\nn 1 t\na 0 0 1 4\na 1 0 1 5\nh 0 const 1 0 1\n
 SINGLE = "p aemfp 2 1 1\nn 0 s\nn 1 t\na 0 0 1 3\nh 0 const 0 0\n"
 AFFINE = "p aemfp 2 2 1\nn 0 s\nn 1 t\na 0 0 1 4\na 1 0 1 5\nh 0 affine 2 0 0 1\n"
 CONVEX = "p aemfp 2 2 1\nn 0 s\nn 1 t\na 0 0 1 4\na 1 0 1 5\nh 0 poly 2 1 0 2 0 1\n"
+HUGE = (
+    "p aemfp 2 3 1\nn 0 s\nn 1 t\na 0 0 1 999999999999\na 1 0 1 3\na 2 0 1 2\n"
+    "h 0 const 1 0\n"
+)
 
 
 def run(capsys, *argv):
@@ -169,6 +174,18 @@ class TestExitCodes:
         )
         assert rc == 4
         assert err.startswith("error BudgetExceeded")
+
+    @pytest.mark.parametrize("flags", [(), ("--integer",)])
+    def test_oracle_budget_stops_before_enumerating(self, capsys, files, flags):
+        # u_R near 10^12: building the candidate grid alone would not end.
+        write, _ = files
+        path = write("huge.aemfp", HUGE)
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "oracle", path, "--budget", "10", *flags)
+        assert time.perf_counter() - start < 2
+        assert (rc, out) == (4, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error BudgetExceeded: ")
 
     def test_internal_error_is_5(self, capsys, files, monkeypatch):
         write, _ = files

@@ -1,11 +1,13 @@
+import hashlib
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reflp
 from aemflow import lp
-from aemflow.errors import UnsupportedDeviation
+from aemflow.errors import InternalError, UnsupportedDeviation
 from aemflow.gadgets import generate_x3c_gadget, x3c_yes_instance
 from aemflow.graph import Graph
 from aemflow.instance import make_instance
@@ -170,16 +172,24 @@ def pivots(monkeypatch):
 class TestPivotPath:
     """The simplex takes a fixed pivot sequence on the X3C yes gadgets.
 
-    The counts are pinned, so a change to Bland's rule, the ratio-test
-    tie-break or the row encoding shows up here, not only as a change in
-    speed.
+    The counts and the sequences are pinned, so a change to Bland's rule,
+    the ratio-test tie-break or the row encoding shows up here, not only as
+    a change in speed.
     """
+
+    # SHA-256 of each pivot sequence, written "row,col;row,col;...".
+    digests = {
+        3: "780b9234d2c6200a5271ac6ce4418efb0ffd6a2ddce49c10f7699e0343fa42b7",
+        6: "f6e176026d34f3b86d7b299ea9302a8f6d0c0cfa1e49b1db3f94e77b150af0c5",
+    }
 
     @pytest.mark.parametrize("q, count, value", [(3, 167, 7), (6, 530, 14)])
     def test_gadget_pivot_count(self, pivots, q, count, value):
         inst, meta = generate_x3c_gadget(x3c_yes_instance(q))
         res = solve_integer_constant(inst)
         assert len(pivots) == count
+        sequence = ";".join(f"{r},{c}" for r, c in pivots)
+        assert hashlib.sha256(sequence.encode()).hexdigest() == self.digests[q]
         assert res.opt_value == value == meta.expected_yes_value
         res.verify(inst)
 
@@ -201,3 +211,94 @@ class TestPivotPath:
         xs = lp._simplex_min(neg, A, [Q(2), Q(2)])
         assert xs == [Q(1, 2), Q(1, 2)]
         assert all(type(x) is Q for x in xs)
+
+
+def run_kernel(module, c, A, b):
+    """``module._simplex_min(c, A, b)`` and its (row, column) pivots.
+
+    An unbounded program reports the kernel's InternalError text instead
+    of a vertex.
+    """
+    seq = []
+    inner = module._pivot
+
+    def recording(tab, basis, prow, pcol):
+        seq.append((prow, pcol))
+        inner(tab, basis, prow, pcol)
+
+    module._pivot = recording
+    try:
+        out = module._simplex_min(c, A, b)
+    except InternalError as exc:
+        out = str(exc)
+    finally:
+        module._pivot = inner
+    return out, seq
+
+
+coefficients = st.one_of(
+    st.integers(-3, 3), st.builds(Q, st.integers(-7, 7), st.integers(1, 4))
+)
+
+
+@st.composite
+def small_programs(draw):
+    n = draw(st.integers(2, 5))
+    m = draw(st.integers(2, 6))
+    c = draw(st.lists(coefficients, min_size=n, max_size=n))
+    row = st.lists(coefficients, min_size=n, max_size=n)
+    A = draw(st.lists(row, min_size=m, max_size=m))
+    b = draw(st.lists(coefficients, min_size=m, max_size=m))
+    return c, A, b
+
+
+class TestKernelAgainstReference:
+    """The int-first kernel takes the reference kernel's pivots exactly."""
+
+    @given(small_programs())
+    @settings(max_examples=300, deadline=None)
+    # Phase one ends with an artificial basic at zero, so the clean-up
+    # pivot runs before phase two.
+    @example(([Q(-1), Q(0)], [[1, 1], [-1, -1], [1, 0]], [2, -2, Q(1, 2)]))
+    # Infeasible: x0 + x1 <= -1 with x >= 0.
+    @example(([1, 1], [[1, 1], [Q(1, 2), 0]], [-1, 3]))
+    # Unbounded below along x0.
+    @example(([-1, Q(1, 3)], [[-1, 1], [0, 1]], [1, 2]))
+    def test_same_vertex_and_pivots(self, program):
+        c, A, b = program
+        got, got_seq = run_kernel(lp, c, A, b)
+        want, want_seq = run_kernel(reflp, c, A, b)
+        assert got == want
+        assert got_seq == want_seq
+        if isinstance(got, list):
+            assert all(type(x) is Q for x in got)
+
+    def test_examples_reach_every_branch(self):
+        cleanup = ([Q(-1), Q(0)], [[1, 1], [-1, -1], [1, 0]], [2, -2, Q(1, 2)])
+        out, seq = run_kernel(lp, *cleanup)
+        assert out == [Q(1, 2), Q(3, 2)]
+        # Phase one pivots twice and stops with row 1's artificial basic at
+        # zero; the clean-up pivot swaps in the slack of row 0 (column 2).
+        assert seq == [(2, 0), (0, 1), (1, 2)]
+        assert run_kernel(lp, [1, 1], [[1, 1], [Q(1, 2), 0]], [-1, 3])[0] is None
+        out, _ = run_kernel(lp, [-1, Q(1, 3)], [[-1, 1], [0, 1]], [1, 2])
+        assert out == "flow programs are bounded by their capacities"
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_lp_optimum_on_fractional_k3(self, monkeypatch, seed):
+        base = generate_random(7, 14, 3, cap_max=6, seed=seed)
+        caps = [
+            Q(2 * c - 1, 2) if e % 3 else Q(4 * c, 3)
+            for e, c in enumerate(base.capacities)
+        ]
+        devs = [
+            shift(Q(1, 2)),
+            DeviationFn.affine(Q(3, 2), Q(1, 2)),
+            DeviationFn.affine(2),
+        ]
+        inst = make_instance(
+            base.graph, caps, [(hs.edges, d) for hs, d in zip(base.sets, devs)]
+        )
+        got = lp._lp_optimum(inst)
+        monkeypatch.setattr(lp, "_simplex_min", reflp._simplex_min)
+        assert got == lp._lp_optimum(inst)

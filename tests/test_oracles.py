@@ -242,6 +242,14 @@ def test_lattice_is_the_sorted_candidate_set(top, m):
     assert oracles._lattice(top, m) == sorted(_plain_lattice(top, m))
 
 
+@pytest.mark.parametrize("limit", [0, 1, 5, 40])
+def test_lattice_limit_stops_one_term_past(limit):
+    full = oracles._lattice(Q(19, 4), 7)
+    got = oracles._lattice(Q(19, 4), 7, limit)
+    assert got == full[: limit + 1]
+    assert len(oracles._lattice(Q(10**12), 7, limit)) == limit + 1
+
+
 class TestPruning:
     """Skipping candidates that a stored cut settles leaves every value as
     a plain enumeration finds it."""
