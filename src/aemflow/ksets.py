@@ -26,11 +26,14 @@ one-sided optimality conditions.
 Three or more sets go to the exact simplex in ``lp``; nested search
 refuses them.
 
-Integer optima reuse the fractional solution: for each coordinate take
-floor and ceiling, evaluate every corner that stays feasible plus the
-all-zero point, and keep the lexicographically smallest argmax.  They are
-solved on the instance with capacities and shifts floored, which has the
-same integral flows.
+Integer optima start from the fractional solution: for each coordinate
+take floor and ceiling, evaluate every corner that stays feasible plus the
+all-zero point, and keep the lexicographically smallest argmax.  That is
+exact when the fractional optimum is integral, and at one set, where F is
+concave on an interval.  Otherwise, with two or more sets the integer
+optimum can lie outside that box, so the best corner only seeds an exact
+LP branch-and-bound in ``lp``.  Everything runs on the instance with
+capacities and shifts floored, which has the same integral flows.
 """
 
 from __future__ import annotations
@@ -189,7 +192,9 @@ def solve_integer_constant(inst: Instance, method: str = "auto") -> SolveResult:
     optimum coordinate-wise, evaluates every floor/ceiling corner that
     stays feasible together with the all-zero vector, and keeps the
     lexicographically smallest argmax.  The corners reuse the fractional
-    solve's evaluator and so its samples.
+    solve's evaluator and so its samples.  With two or more sets and a
+    fractional optimum that is not integral, that argmax seeds an exact
+    branch-and-bound, whatever ``method`` says.
     """
     inst = Instance(
         inst.graph,
@@ -214,4 +219,10 @@ def solve_integer_constant(inst: Instance, method: str = "auto") -> SolveResult:
         if best is None or s.value > best_val:
             best, best_val = cand, s.value
     require(best is not None, "the all-zero vector is always feasible")
-    return ev.result(best)
+    if inst.k >= 2 and any(x.denominator != 1 for x in base.lambda_star):
+        from .lp import _lp_int_optimum
+
+        best, best_val = _lp_int_optimum(inst, best, best_val)
+    out = ev.result(best)
+    require(out.opt_value == best_val, "the optimum's flow disagrees with its value")
+    return out

@@ -33,11 +33,23 @@ test compares b_i/a_i with b_j/a_j as b_i*a_j against b_j*a_i (both a
 positive), so on int cells it stays in ints.  Every division goes through
 Fraction, so no float arises, and every value, hence every choice of
 Bland's rule, is exactly what an all-Fraction tableau would hold.
+
+Integral parameter vectors are found by LP branch-and-bound on the
+parameters alone (Land and Doig, Econometrica 1960): with integral data,
+fixing integral parameters leaves a flow program with integral bounds,
+whose optimum over flows is integral, so no flow variable needs a branch.
+A node whose parameters come out fractional splits on the first such
+lam_i into lam_i <= floor and lam_i >= ceil; a node is dropped when the
+floor of its bound cannot beat the incumbent.  The value is maximized
+first, then each parameter in turn is minimized with the value and the
+earlier parameters pinned, which gives the lexicographically smallest
+integral optimum.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import ceil, floor
 
 from .errors import UnsupportedDeviation, require
 from .instance import FEvaluator, Instance, SolveResult
@@ -272,6 +284,71 @@ def _lp_optimum(inst: Instance) -> tuple[tuple[Fraction, ...], Fraction]:
         require(xs is not None, "value pin cannot cut off the optimum")
         pins.append((m + i, xs[m + i]))
     return tuple(val for _, val in pins), value
+
+
+def _branch(prog, goal, extra, lo, hi, best, lam):
+    """Maximize -goal.x over integral parameters in the box [lo, hi].
+
+    ``hi[i]`` of None leaves lam_i capped by the program's own u_R row.
+    ``best`` is the objective at the integral incumbent ``lam``; only a
+    strictly better point replaces it.  The objective must be integral at
+    every integral parameter vector.  Returns the final (best, lam).
+    """
+    m, k = prog.inst.m, prog.inst.k
+    stack = [(lo, hi)]
+    while stack:
+        lo, hi = stack.pop()
+        box = []
+        for i in range(k):
+            row = [0] * prog.nvar
+            if lo[i]:
+                row[m + i] = -1
+                box.append((row, -lo[i]))
+            if hi[i] is not None:
+                row = [0] * prog.nvar
+                row[m + i] = 1
+                box.append((row, hi[i]))
+        xs = prog.solve(goal, extra=(*extra, *box))
+        if xs is None:
+            continue
+        bound = -sum(c * x for c, x in zip(goal, xs))
+        if floor(bound) <= best:
+            continue
+        split = next((i for i in range(k) if xs[m + i].denominator != 1), None)
+        if split is None:
+            require(bound.denominator == 1, "integral parameters give an integral bound")
+            best, lam = bound, tuple(xs[m:])
+            continue
+        x = xs[m + split]
+        up, down = list(lo), list(hi)
+        up[split], down[split] = ceil(x), floor(x)
+        stack.append((up, hi))
+        stack.append((lo, down))
+    return best, lam
+
+
+def _lp_int_optimum(
+    inst: Instance, lam: tuple[Fraction, ...], value: Fraction
+) -> tuple[tuple[Fraction, ...], Fraction]:
+    """Lexicographically smallest integral optimum and its value.
+
+    ``inst`` must have integral capacities and shifts; ``lam`` is any
+    integral parameter vector with flow value ``value``, which seeds the
+    search as its incumbent.
+    """
+    _check_affine(inst)
+    prog = _Program(inst)
+    m, k = inst.m, inst.k
+    goal = [-c for c in prog.value_row]
+    value, lam = _branch(prog, goal, (), [0] * k, [None] * k, value, lam)
+    value_pin = ((goal, -value),)
+    lo, hi = [0] * k, [None] * k
+    for i in range(k):
+        obj = [0] * prog.nvar
+        obj[m + i] = 1
+        _, lam = _branch(prog, obj, value_pin, lo, hi, -lam[i], lam)
+        lo[i] = hi[i] = int(lam[i])
+    return lam, value
 
 
 def solve_lp_constant(inst: Instance) -> SolveResult:

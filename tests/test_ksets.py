@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from aemflow import instance
 from aemflow.errors import UnsupportedDeviation, ValidationError
+from aemflow.fileformat import parse_instance
 from aemflow.graph import Graph
 from aemflow.instance import FEvaluator, make_instance
 from aemflow.ksets import solve_integer_constant, solve_k_constant
@@ -195,6 +196,47 @@ class TestSolveInteger:
             res = solve_integer_constant(inst)
             assert all(x.denominator == 1 for x in res.lambda_star)
             res.verify(inst)
+
+    # generate_random(n, m, k, cap_max=c, seed=s, deviation_kind="const"):
+    # the integer optimum lies outside the floor/ceiling box around the
+    # fractional one, or ties with a smaller vector outside it.  Each
+    # expected point is the lexicographically smallest argmax of the full
+    # integer grid.
+    @pytest.mark.parametrize(
+        "shape, lam, value",
+        [
+            ((6, 9, 2, 6, 4658), (1, 2), 2),
+            ((3, 8, 2, 6, 714), (0, 1), 9),
+            ((5, 9, 3, 12, 831), (1, 1, 0), 1),
+            ((6, 8, 4, 9, 1376), (1, 1, 0, 0), 1),
+            ((5, 10, 4, 9, 2764), (0, 5, 2, 2), 9),
+            ((6, 11, 4, 6, 3752), (1, 2, 3, 0), 5),
+            ((4, 6, 3, 9, 4959), (2, 2, 1), 2),
+        ],
+    )
+    def test_optimum_outside_the_rounding_box(self, shape, lam, value):
+        n, m, k, c, seed = shape
+        inst = generate_random(n, m, k, cap_max=c, seed=seed, deviation_kind="const")
+        res = solve_integer_constant(inst)
+        assert res.lambda_star == tuple(Q(x) for x in lam)
+        assert res.opt_value == value
+        res.verify(inst)
+
+    @pytest.mark.parametrize("method", ["auto", "parametric"])
+    def test_both_corners_below_the_integer_optimum(self, method):
+        # The fractional optimum is (0, 1/2) at value 1.  Its corners (0, 0)
+        # and (0, 1) both give 0; the integer optimum (1, 0) lies outside.
+        text = "\n".join([
+            "p aemfp 4 6 2", "n 0 s", "n 1 t",
+            "a 0 0 1 1", "a 1 1 2 1", "a 2 3 2 1", "a 3 0 2 1",
+            "a 4 2 1 1", "a 5 0 3 1",
+            "h 0 const 0 0 1", "h 1 const 0 2 3",
+        ])
+        inst = parse_instance(text + "\n")
+        res = solve_integer_constant(inst, method)
+        res.verify(inst)
+        assert res.lambda_star == (Q(1), Q(0))
+        assert res.opt_value == 1
 
 
 @st.composite
