@@ -10,6 +10,12 @@ quantity the augmenting-path engine touches is a polynomial in lam of the
 deviation's degree, and every branch the engine takes is the sign of such
 a polynomial at the unknown maximizer.
 
+The domain itself is [0, edge], the feasible interval.  It comes from
+the deficiency walk of :meth:`~aemflow.parametric.Slice.feasible_interval`,
+a few circulation max flows and no F sample.  The edge is u_R when that
+is feasible, exact wherever it is rational, and within u_R * 2**-64 below
+it where it is irrational.
+
 The symbolic run is :func:`~aemflow.parametric.symbolic_max_flow`, the
 one the slice solver uses.  Signs resolve by isolating the
 polynomial's roots and locating the smallest maximizer relative to them
@@ -28,9 +34,11 @@ Rational comparison thresholds keep the search exact.  Irrational ones
 candidates snap to the simplest rational inside the bracket, so answers
 are exact whenever the optimum is a rational of moderate denominator and
 off by at most the bracket width otherwise.  Forks and the shrinking
-sign box ask for the same polynomial's roots on the same box again and
-again, so each solve keeps its root brackets in a dict keyed by
-(polynomial, box ends); the dict dies with the solve.
+sign box ask for the same polynomial's roots on many boxes, and a
+quadratic's brackets do not depend on the box, so the solve's slice keeps
+each bisected bracket under (polynomial, width, side), and ``poly_roots``
+bisects only a root whose coarse bracket meets the box asked about.  The
+memo dies with the solve.
 """
 
 from __future__ import annotations
@@ -39,8 +47,8 @@ from fractions import Fraction
 
 from .errors import InternalError, UnsupportedDeviation, ValidationError, require
 from .instance import FEvaluator, Instance, SolveResult
-from .parametric import _PinnedAt, slice_bounds, symbolic_max_flow
-from .values import Order, PolyValue, poly_roots, simplest_rational_in
+from .parametric import Slice, _PinnedAt, slice_bounds, symbolic_max_flow
+from .values import Order, PolyValue, simplest_rational_in
 
 __all__ = ["solve_concave_single"]
 
@@ -55,25 +63,6 @@ class _Fork(Exception):
         self.at = at
 
 
-def _feasible_edge(val, top: Fraction, tol: Fraction) -> Fraction:
-    """Largest known-feasible parameter in [0, top], to width tol."""
-    if val(top) is not None:
-        return top
-    lo, hi = _ZERO, top
-    require(val(lo) is not None, "the zero parameter must be feasible")
-    while hi - lo > tol:
-        w = hi - lo
-        mid = simplest_rational_in(lo + w / 3, hi - w / 3)
-        if val(mid) is None:
-            hi = mid
-        else:
-            lo = mid
-    snap = simplest_rational_in(lo, hi)
-    if snap != lo and val(snap) is not None:
-        lo = snap
-    return lo
-
-
 def solve_concave_single(inst: Instance) -> SolveResult:
     """Smallest maximizer of F for one homologous set, concave bound."""
     for hs in inst.sets:
@@ -85,23 +74,18 @@ def solve_concave_single(inst: Instance) -> SolveResult:
             f"got {inst.k}"
         )
     dev = inst.sets[0].deviation
-    top = inst.u_R(0)
     ev = FEvaluator(inst)
-
-    def val(x: Fraction):
-        s = ev.sample((x,))
-        return s.value if s.feasible else None
-
-    tol = Fraction(top, 1 << 64) if top else Fraction(1, 1 << 64)
-    edge = _feasible_edge(val, top, tol)
+    sl = Slice(inst, 0, {}, ev)
+    tol = sl.tol
+    edge = sl.feasible_interval()[1]
     evid = [_ZERO, edge]
     vals: dict[Fraction, Fraction] = {}
 
     def fval(x: Fraction) -> Fraction:
-        v = val(x)
-        require(v is not None, "feasible interval sampled infeasible")
-        vals[x] = v
-        return v
+        s = ev.sample((x,))
+        require(s.feasible, "feasible interval sampled infeasible")
+        vals[x] = s.value
+        return s.value
 
     def place(x: Fraction) -> Order | None:
         """Locate the smallest maximizer against x from known values."""
@@ -140,16 +124,6 @@ def solve_concave_single(inst: Instance) -> SolveResult:
                 return None
         return None
 
-    # Root brackets per (polynomial, box ends), for this solve only.
-    brackets: dict[tuple, list] = {}
-
-    def roots_in(d: PolyValue, lo: Fraction, hi: Fraction):
-        key = (d, lo, hi)
-        got = brackets.get(key)
-        if got is None:
-            got = brackets[key] = poly_roots(d, lo, hi, width=tol)
-        return got
-
     def make_sign(box: list[Fraction]):
         def sign_of(d: PolyValue) -> Order:
             # poly_roots' brackets do not depend on the box; clipping only
@@ -160,7 +134,7 @@ def solve_concave_single(inst: Instance) -> SolveResult:
                 if box[0] == box[1]:
                     raise _PinnedAt(box[0])
                 reps = []
-                for r in roots_in(d, box[0], box[1]):
+                for r in sl.roots(d, box[0], box[1]):
                     pts = (r.lo,) if r.is_exact else (r.lo, r.hi)
                     for x in pts:
                         if box[0] < x < box[1]:
@@ -190,7 +164,7 @@ def solve_concave_single(inst: Instance) -> SolveResult:
 
     splits = {_ZERO, edge}
     for c in sorted({inst.capacities[e] for e in inst.sets[0].edges}):
-        r = dev.crossing(c, _ZERO, edge)
+        r = dev.crossing(c, _ZERO, edge, sl.brackets)
         if r is not None:
             for x in (r.lo, r.hi):
                 if 0 < x < edge:
@@ -227,7 +201,7 @@ def solve_concave_single(inst: Instance) -> SolveResult:
             cands = {box[0], box[1]}
             der = total.derivative()
             if der.degree >= 1:
-                for r in roots_in(der, box[0], box[1]):
+                for r in sl.roots(der, box[0], box[1]):
                     cands.add(
                         r.value
                         if r.is_exact

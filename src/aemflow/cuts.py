@@ -17,9 +17,9 @@ The same price serves infeasibility.  For any node set T, lower bounds
 entering T minus upper bounds leaving it is -g_T(lam).  By Hoffman's
 circulation theorem (1960) the deficiency is the largest such value over
 the sets T that do not hold t without s, and the auxiliary min cut's T
-attains it.  So F's certificates and the support lines of the deficiency
-that `Slice.feasible_interval` follows are both priced here, by one clamp
-rule.
+attains it.  So F's certificates and the support functions of the
+deficiency that `Slice.feasible_interval` follows, straight or curved,
+are both priced here, by one clamp rule.
 """
 
 from __future__ import annotations
@@ -44,6 +44,14 @@ class SetCrossing:
     @property
     def d_R(self) -> int:
         return len(self.forward_uppers) - self.backward_count
+
+    def live(self, lam: Fraction, right: bool) -> int:
+        """Forward members below their upper bound just above (right) or
+        just below lam: those whose term min(u, Delta) follows Delta there."""
+        dx = self.deviation(lam)
+        if right:
+            return sum(1 for u in self.forward_uppers if dx < u)
+        return sum(1 for u in self.forward_uppers if dx <= u)
 
 
 @dataclass(frozen=True)
@@ -85,15 +93,11 @@ class CutReport:
     def right_slope(self, i: int, lam_i: Fraction) -> Fraction:
         """Derivative of g_S in lam_i just above lam_i (clamped members frozen)."""
         sc = self.sets[i]
-        dx = sc.deviation(lam_i)
         rate = sc.deviation.derivative_at(lam_i)
-        live = sum(1 for u in sc.forward_uppers if dx < u)
-        return live * rate - sc.backward_count
+        return sc.live(lam_i, True) * rate - sc.backward_count
 
     def left_slope(self, i: int, lam_i: Fraction) -> Fraction:
         """Derivative of g_S in lam_i just below lam_i."""
         sc = self.sets[i]
-        dx = sc.deviation(lam_i)
         rate = sc.deviation.derivative_at(lam_i)
-        live = sum(1 for u in sc.forward_uppers if dx <= u)
-        return live * rate - sc.backward_count
+        return sc.live(lam_i, False) * rate - sc.backward_count

@@ -9,11 +9,16 @@ form a closed interval, and the optimum is the smallest maximizer.
 Three exact primitives are built on that picture:
 
 * ``Slice.feasible_interval`` finds the interval endpoints by Newton steps
-  on the circulation deficiency, a convex piecewise-linear function.  At
-  each point it equals -g_T for the auxiliary min cut T, so the cut's
-  ``CutReport`` gives the support line, value and one-sided slope alike.
-  Each step lands on a support line's root, so finitely many max-flow
-  calls give the exact rational endpoints.
+  on the circulation deficiency, a convex function, piecewise linear for
+  affine deviations.  At each point it equals -g_T for the auxiliary min
+  cut T, so the cut's ``CutReport`` gives the support function, value and
+  one-sided slope alike.  Each step lands on the root of -g_T with every
+  member's clamp state frozen, which is the tangent line on affine sets
+  and a polynomial of the deviation's degree on curved ones.  Each such
+  shape is tight at most once, so finitely many max-flow calls give the
+  exact endpoints wherever they are rational.  An irrational right end
+  is isolated to width ``tol`` = u_R * 2**-64 and answered from the
+  bracket's feasible side, by the simplest rational in it if feasible.
 * ``Slice.resolve`` places the optimum relative to a query point, as an
   ``Order``, using two nearby probes.  A chord with nonpositive slope on
   the left, or positive slope on the right, decides the direction
@@ -35,7 +40,8 @@ concave solver: it routes the lower bounds by a circulation over
 takes is the sign of a polynomial at the unknown optimum, answered by the
 caller's sign oracle.
 
-All rationals are exact; there is no tolerance anywhere in this module.
+All rationals are exact.  The one tolerance in this module is ``tol``,
+the width of the brackets around irrational roots on curved pieces.
 """
 
 from __future__ import annotations
@@ -52,9 +58,10 @@ from .errors import (
     ValidationError,
     require,
 )
+from .cuts import CutReport
 from .instance import FEvaluator, FSample, Instance
 from .maxflow import deficiency_int
-from .values import Order, PolyValue
+from .values import Order, PolyValue, Root, poly_roots, simplest_rational_in
 
 __all__ = [
     "Slice",
@@ -85,7 +92,8 @@ class Slice:
     """The instance restricted to one free parameter.
 
     Shares one memoized evaluator across all probes, so repeated resolves
-    at nearby points reuse earlier max-flow runs.
+    at nearby points reuse earlier max-flow runs, and one root-bracket
+    memo across all `roots` queries.
     """
 
     def __init__(
@@ -110,6 +118,9 @@ class Slice:
         self._interval: tuple[Fraction, Fraction] | None = None
         self._resolutions: dict[Fraction, Order] = {}
         self._def_cache: dict[Fraction, tuple] = {}
+        # Irrational roots on curved pieces are isolated to width tol.
+        self.tol = self.u_free / (1 << 64) if self.u_free else Fraction(1, 1 << 64)
+        self.brackets: dict = {}  # poly_roots' memo, for this slice's life
         coeffs = inst.sets[free].deviation.poly.coeffs
         dens = [v.denominator for v in [*self.fixed.values(), *coeffs]]
         d = lcm(inst.template.den, *dens)
@@ -138,10 +149,9 @@ class Slice:
             hit = self._def_cache[x] = (rep, d, levels)
         return hit
 
-    def _def_slope(self, x: Fraction, right: bool) -> Fraction:
+    def _def_cut(self, x: Fraction) -> CutReport:
         # The deficiency is -g_T for the auxiliary min cut T (Hoffman), so
-        # its support line at x is the negated cut capacity, priced by the
-        # same CutReport that certifies F.
+        # the cut's CutReport, which certifies F, prices it too.
         rep, d, levels = self._deficiency(x)
         require(not rep.crosses_return, "return arc in a minimum auxiliary cut")
         cut = self.inst.cut_report(rep.aux_s_side)
@@ -149,44 +159,96 @@ class Slice:
             -cut.scaled_capacity(d, levels) == rep.deficiency * d,
             "support line misses the deficiency value",
         )
-        return -(cut.right_slope if right else cut.left_slope)(self.free, x)
+        return cut
 
-    def _def_root(self, x: Fraction, forward: bool) -> Fraction:
-        rep = self._deficiency(x)[0]
-        for _ in range(400):
-            if rep.deficiency == 0:
+    def _def_root(self, x: Fraction, end: Fraction) -> Fraction:
+        """The deficiency's first zero walking from x toward `end`.
+
+        Each step lands on the nearest root of -P, where P is the tight
+        auxiliary cut's g_T with each forward member's term fixed to u or
+        Delta by its clamp state just past x in the walk's direction.  -P
+        equals the deficiency at x, is convex, and never exceeds the
+        deficiency (min(u, Delta) is at most either term), so its root
+        never passes a zero.  On affine sets -P is the tangent line.
+
+        A rational root is an exact step.  An irrational one (degree two
+        and up) is bracketed to width `tol`.  Walking left, the walk steps
+        to the bracket's lower end; where that is feasible the zero lies
+        in the bracket, and the answer is the bracket's simplest rational
+        if feasible, else the lower end.  Walking right, neither end is
+        safe (the lower one is tight on the same cut again, the upper one
+        may pass the whole interval), so UnsupportedDeviation is raised.
+        That needs an infeasible zero parameter, which one set never has.
+        """
+        forward = end >= x
+        members = len(self.inst.sets[self.free].edges)
+        dev = self.inst.sets[self.free].deviation
+        # -P is fixed up to a constant by its (live forward, backward)
+        # member counts, at most (|S|+1)(|S|+2)/2 shapes for the free set S.
+        # Two steps with one shape, the later at y where -P_j(y) > 0, would
+        # need -P_i(y) <= 0, since y lies between the zero and the root of
+        # -P_i; and -P_j <= deficiency = -P_i at the earlier point.  The two
+        # differ by a constant, so both cannot hold: every shape is tight
+        # at most once, and one more pass sees the zero.
+        for _ in range((members + 1) * (members + 2) // 2 + 1):
+            short = self._deficiency(x)[0].deficiency
+            if short == 0:
                 return x
-            slope = self._def_slope(x, right=forward)
-            if forward:
-                if slope >= 0:
-                    raise Infeasible(
-                        "no feasible value for the free parameter on this slice",
-                        context={"free": self.free, "fixed": dict(self.fixed)},
-                    )
-                x = x + rep.deficiency / (-slope)
-                if x > self.u_free:
-                    raise Infeasible(
-                        "no feasible value for the free parameter on this slice",
-                        context={"free": self.free, "fixed": dict(self.fixed)},
-                    )
+            sc = self._def_cut(x).sets[self.free]
+            live, back = sc.live(x, right=forward), sc.backward_count
+            lo, hi = min(x, end), max(x, end)
+            if live and dev.degree > 1:
+                # -P(y) = short - live * (Delta(y) - Delta(x)) + back * (y - x)
+                support = (
+                    PolyValue.constant(short + live * dev(x) - back * x)
+                    + dev.poly.scale(-live)
+                    + PolyValue((_ZERO, Fraction(back)))
+                )
+                roots = self.roots(support, lo, hi)
             else:
-                # A zero exists to the left (the forward search found one),
-                # so the deficiency must still be falling when read leftward.
-                require(slope > 0, "leftward root search lost its zero")
-                x = x - rep.deficiency / slope
-                require(x >= 0, "leftward root search passed zero")
-            rep = self._deficiency(x)[0]
+                # -P is the line short + slope * (y - x): its root is exact.
+                slope = back - live * dev.derivative_at(x)
+                r = x - short / slope if slope else None
+                roots = [Root.exact(r)] if slope and lo <= r <= hi else []
+            if forward:
+                if not roots:
+                    raise Infeasible(
+                        "no feasible value for the free parameter on this slice",
+                        context={"free": self.free, "fixed": dict(self.fixed)},
+                    )
+                if not roots[0].is_exact:
+                    raise UnsupportedDeviation(
+                        "irrational lower end of the feasible interval"
+                    )
+                x = roots[0].lo
+                continue
+            require(bool(roots), "leftward root search lost its zero")
+            r = roots[-1]
+            x = r.lo
+            if r.is_exact or self._deficiency(x)[0].deficiency:
+                continue
+            snap = simplest_rational_in(r.lo, r.hi)
+            if snap != x and self._deficiency(snap)[0].deficiency == 0:
+                return snap
+            return x
         raise InternalError("deficiency root search failed to converge")
 
-    def feasible_interval(self) -> tuple[Fraction, Fraction]:
-        """Exact endpoints of the feasible parameter interval.
+    def roots(self, poly: PolyValue, lo: Fraction, hi: Fraction) -> list[Root]:
+        """``poly_roots`` on [lo, hi] to width `tol`, each root bracket
+        bisected once in the slice's life."""
+        return poly_roots(poly, lo, hi, self.tol, self.brackets)
 
-        Raises Infeasible when no value of the free parameter admits a flow
-        at the given fixed values.
+    def feasible_interval(self) -> tuple[Fraction, Fraction]:
+        """Endpoints of the feasible parameter interval, exact where rational.
+
+        An irrational right end, possible on curved pieces, is answered
+        within `tol` below it (see `_def_root`); an irrational left end
+        raises UnsupportedDeviation.  Raises Infeasible when no value of
+        the free parameter admits a flow at the given fixed values.
         """
         if self._interval is None:
-            af = self._def_root(_ZERO, forward=True)
-            bf = self._def_root(self.u_free, forward=False)
+            af = self._def_root(_ZERO, self.u_free)
+            bf = self._def_root(self.u_free, af)
             require(af <= bf, "feasible interval endpoints out of order")
             self._interval = (af, bf)
         return self._interval

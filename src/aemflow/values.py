@@ -236,7 +236,9 @@ def _bisect_root(poly: PolyValue, lo: Fraction, hi: Fraction, width: Fraction) -
     return Root(Fraction(ln, ld), Fraction(hn, hd))
 
 
-def _quadratic_roots(poly: PolyValue, width: Fraction) -> list[Root]:
+def _quadratic_roots(
+    poly: PolyValue, width: Fraction, lo: Fraction, hi: Fraction, memo: dict
+) -> list[Root]:
     c0 = poly.coeffs[0] if len(poly.coeffs) > 0 else _ZERO
     c1 = poly.coeffs[1] if len(poly.coeffs) > 1 else _ZERO
     c2 = poly.coeffs[2]
@@ -253,12 +255,20 @@ def _quadratic_roots(poly: PolyValue, width: Fraction) -> list[Root]:
         return sorted([Root.exact(r1), Root.exact(r2)], key=lambda r: r.lo)
     # Irrational pair, symmetric about the vertex.  An upper bound on the
     # half-width sqrt(disc)/(2|c2|) gives sign-change brackets on each side.
+    # Bisection only shrinks a bracket, so one that misses [lo, hi] is
+    # dropped unrefined.
     p, q = disc.numerator, disc.denominator
     s_hi = Fraction(math.isqrt(p * q) + 1, q)
     half = s_hi / (2 * abs(c2))
-    left = _bisect_root(poly, vertex - half, vertex, width)
-    right = _bisect_root(poly, vertex, vertex + half, width)
-    return [left, right]
+    out = []
+    for side, a, b in ((0, vertex - half, vertex), (1, vertex, vertex + half)):
+        if b < lo or a > hi:
+            continue
+        key = (poly, width, side)
+        if key not in memo:
+            memo[key] = _bisect_root(poly, a, b, width)
+        out.append(memo[key])
+    return out
 
 
 def _highdeg_roots(poly: PolyValue, width: Fraction) -> list[Root]:
@@ -293,6 +303,7 @@ def poly_roots(
     lo: Fraction,
     hi: Fraction,
     width: Fraction | None = None,
+    memo: dict | None = None,
 ) -> list[Root]:
     """All real roots of `poly` inside ``[lo, hi]``, sorted, deduplicated.
 
@@ -302,6 +313,10 @@ def poly_roots(
     Callers that re-query the same polynomial on ever smaller intervals
     should pass an absolute `width`, or the interval-relative default
     makes each answer finer than the last for no gain.
+
+    A quadratic's irrational brackets do not depend on the interval, so a
+    caller may pass a `memo` dict, which keeps each bisected bracket under
+    (poly, width, side) and bisects it once for all the intervals asked.
     """
     if hi < lo:
         raise ValueError("empty interval")
@@ -318,7 +333,7 @@ def poly_roots(
         r = -poly.coeffs[0] / poly.coeffs[1]
         roots = [Root.exact(r)]
     elif deg == 2:
-        roots = _quadratic_roots(poly, width)
+        roots = _quadratic_roots(poly, width, lo, hi, {} if memo is None else memo)
     else:
         roots = _highdeg_roots(poly, width)
     picked: list[Root] = []
@@ -459,17 +474,20 @@ class DeviationFn:
                 pts.append(root.midpoint())
         return pts
 
-    def crossing(self, target: Fraction, lo: Fraction, hi: Fraction) -> Root | None:
+    def crossing(
+        self, target: Fraction, lo: Fraction, hi: Fraction, memo: dict | None = None
+    ) -> Root | None:
         """Where Delta(x) == target on [lo, hi], if anywhere.
 
         Monotone deviations cross any level at most once up to plateaus;
-        the smallest crossing is returned.
+        the smallest crossing is returned.  `memo` is passed to
+        :func:`poly_roots`.
         """
         target = _as_fraction(target)
         diff = self.poly - PolyValue((target,))
         if diff.is_zero():
             return Root.exact(_as_fraction(lo))
-        roots = poly_roots(diff, _as_fraction(lo), _as_fraction(hi))
+        roots = poly_roots(diff, _as_fraction(lo), _as_fraction(hi), memo=memo)
         return roots[0] if roots else None
 
     def __eq__(self, other) -> bool:

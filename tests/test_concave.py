@@ -4,13 +4,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aemflow import concave
+import refconcave
+from aemflow import concave, values
 from aemflow.concave import solve_concave_single
 from aemflow.errors import UnsupportedDeviation, ValidationError
+from aemflow.fileformat import parse_instance
 from aemflow.graph import Graph
-from aemflow.instance import make_instance
+from aemflow.instance import FEvaluator, make_instance
 from aemflow.ksets import solve_k_constant
 from aemflow.oracles import oracle_concave_single
+from aemflow.parametric import Slice
 from aemflow.randgen import generate_random
 from aemflow.values import DeviationFn
 
@@ -207,20 +210,114 @@ def c08_instances():
         )
 
 
+def solve_c08_recording(monkeypatch):
+    """Solve every c08 instance; return the solves' FEvaluators and, per
+    solve, the arguments of each root bisection."""
+    made, bisected = [], []
+
+    class Recording(FEvaluator):
+        def __init__(self, inst):
+            super().__init__(inst)
+            made.append(self)
+
+    real = values._bisect_root
+
+    def recording(*args):
+        bisected[-1].append(args)
+        return real(*args)
+
+    monkeypatch.setattr(concave, "FEvaluator", Recording)
+    monkeypatch.setattr(values, "_bisect_root", recording)
+    for inst in c08_instances():
+        bisected.append([])
+        solve_concave_single(inst)
+    return made, bisected
+
+
 class TestBracketMemo:
     def test_no_root_query_repeats_within_a_solve(self, monkeypatch):
-        asked = []
-        real = concave.poly_roots
+        _, bisected = solve_c08_recording(monkeypatch)
+        for calls in bisected:
+            assert len(calls) == len(set(calls))
+        assert any(bisected)
 
-        def recording(poly, lo, hi, width=None):
-            asked.append((poly, lo, hi))
-            return real(poly, lo, hi, width)
 
-        monkeypatch.setattr(concave, "poly_roots", recording)
-        total = 0
-        for inst in c08_instances():
-            asked.clear()
-            solve_concave_single(inst)
-            assert len(asked) == len(set(asked))
-            total += len(asked)
-        assert total > 0
+class TestWorkCounts:
+    def test_pinned_counts(self, monkeypatch):
+        # Before the feasible edge came from the slice's deficiency walk
+        # and each root bracket was bisected once per solve: 713 and 102.
+        made, bisected = solve_c08_recording(monkeypatch)
+        assert sum(ev.evaluations for ev in made) == 171
+        assert sum(map(len, bisected)) == 35
+
+
+def item11_draws(kind):
+    """ROADMAP item 11's draws: quadratic or affine, small shapes, cap 5."""
+    for i in range(300):
+        yield generate_random(
+            2 + i % 5,
+            1 + (i * 5) % 10,
+            1,
+            cap_max=5,
+            deviation_kind=kind,
+            seed=5000 + i,
+        )
+
+
+class TestFeasibleEdge:
+    def test_walk_matches_the_bisection_reference(self):
+        walked = 0
+        for kind in ("quadratic", "affine"):
+            for inst in item11_draws(kind):
+                ev = FEvaluator(inst)
+
+                def val(x):
+                    s = ev.sample((x,))
+                    return s.value if s.feasible else None
+
+                top = inst.u_R(0)
+                if val(top) is not None:
+                    continue
+                tol = Q(top, 1 << 64)
+                want = refconcave.feasible_edge(val, top, tol)
+                assert Slice(inst, 0, {}, ev).feasible_interval() == (0, want)
+                walked += 1
+        assert walked == 114
+
+    # File 316 of the concave-single benchmark stream at any seed, and a
+    # draw of the same shape: the deficiency's tangent lines approach
+    # their edge at 0 without reaching it, so a plain tangent walk runs
+    # out of steps.
+    FILE_316 = """p aemfp 3 6 1
+n 2 s
+n 1 t
+a 0 2 1 3
+a 1 2 0 4
+a 2 1 2 3
+a 3 2 0 2
+a 4 2 0 4
+a 5 1 2 1
+h 0 poly 2 0 2 -1/60 0 2 5
+"""
+
+    @pytest.mark.parametrize(
+        "make, value",
+        [
+            (lambda: parse_instance(TestFeasibleEdge.FILE_316), 0),
+            (
+                lambda: generate_random(
+                    3, 6, 1, cap_max=5, deviation_kind="quadratic", seed=5101
+                ),
+                4,
+            ),
+        ],
+        ids=["file316", "seed5101"],
+    )
+    def test_curved_edge_at_zero(self, make, value):
+        inst = make()
+        assert inst.u_R(0) > 0
+        assert Slice(inst, 0, {}).feasible_interval() == (0, 0)
+        res = solve_concave_single(inst)
+        assert res.lambda_star == (Q(0),)
+        assert res.opt_value == value
+        res.verify(inst)

@@ -176,6 +176,28 @@ class TestFeasibleInterval:
         with pytest.raises(InternalError, match="support line misses"):
             Slice(inst, 1, {0: Q(2)}).feasible_interval()
 
+    @staticmethod
+    def curved_chain(x0):
+        """s -> a pinned at x0, a -> t bounded by 2x - x^2/8 (cap 8)."""
+        g = Graph()
+        for name in "sat":
+            g.add_node(name)
+        g.add_edge("s", "a")
+        g.add_edge("a", "t")
+        g.source, g.sink = 0, 2
+        bend = DeviationFn.polynomial([0, 2, Q(-1, 8)])
+        inst = make_instance(g, [10, 8], [([0], shift(0)), ([1], bend)])
+        return Slice(inst, 1, {0: Q(x0)})
+
+    def test_curved_left_end_is_an_exact_step(self):
+        # a -> t must carry x0 = 6 <= 2x - x^2/8, so x >= 4, and x <= 6.
+        assert self.curved_chain(6).feasible_interval() == (4, 6)
+
+    def test_irrational_left_end_is_refused(self):
+        # 2x - x^2/8 = 3/2 at x = 8 - sqrt(52).
+        with pytest.raises(UnsupportedDeviation):
+            self.curved_chain(Q(3, 2)).feasible_interval()
+
     def test_single_point_slice(self):
         sl = Slice(two_stage(), 1, {0: Q(0)})
         assert sl.feasible_interval() == (0, 0)

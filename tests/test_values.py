@@ -344,6 +344,22 @@ class TestBisectRoot:
         ]
         assert poly_roots(poly, v - b, v + b, width) == want
 
+    @given(
+        irrational_quadratics(),
+        st.lists(st.fractions(-200, 200), min_size=2, max_size=8),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_memo_keeps_every_answer(self, quad, ends):
+        poly, _, _ = quad
+        width = Q(1, 1 << 40)
+        memo = {}
+        for lo, hi in zip(ends, ends[1:]):
+            lo, hi = min(lo, hi), max(lo, hi)
+            want = poly_roots(poly, lo, hi, width)
+            assert poly_roots(poly, lo, hi, width, memo) == want
+        # One entry per side at most, whatever the boxes asked.
+        assert set(memo) <= {(poly, width, 0), (poly, width, 1)}
+
     def test_probe_on_a_rational_root_is_exact(self):
         # (3x - 2)(x^2 + 1): the first probe 1/2 moves lo, the second is 2/3.
         p = PolyValue((Q(-2), Q(3), Q(-2), Q(3)))
