@@ -35,8 +35,9 @@ candidates snap to the simplest rational inside the bracket, so answers
 are exact whenever the optimum is a rational of moderate denominator and
 off by at most the bracket width otherwise.  Forks and the shrinking
 sign box ask for the same polynomial's roots on many boxes, and a
-quadratic's brackets do not depend on the box, so the solve's slice keeps
-each bisected bracket under (polynomial, width, side), and ``poly_roots``
+quadratic's closed form and brackets do not depend on the box, so the
+solve's slice keeps the closed form under (polynomial, width) and each
+bisected bracket under (polynomial, width, side), and ``poly_roots``
 bisects only a root whose coarse bracket meets the box asked about.  The
 memo dies with the solve.
 """

@@ -7,14 +7,16 @@ enumerators exist so the parametric machinery has something independent
 to be tested against.
 
 oracle_fractional evaluates F on the lattice of rationals N/D with
-denominator D up to the edge count; the optimal parameters of instances
-at oracle scale lie on that lattice (breakpoint denominators divide the
-sizes of the cuts that create them).  oracle_integer enumerates integer
-parameter vectors, which is exact for the integral problem whenever the
-deviations are nondecreasing: guessing the realized set minimum can only
-relax the upper bounds, and an integral-bound max flow has an integral
-optimum.  oracle_concave_single brackets the 1-D maximizer of a concave
-value function by a grid pass plus interval shrinking, with no claim of
+denominator D up to the edge count.  That lattice is known to hold an
+optimum only for constant shifts with integral capacities and shifts
+(breakpoint denominators then divide the sizes of the cuts that create
+them); on other data the result is the best lattice value, a lower bound
+that can miss the optimum.  oracle_integer enumerates integer parameter
+vectors, which is exact for the integral problem whenever the deviations
+are nondecreasing: guessing the realized set minimum can only relax the
+upper bounds, and an integral-bound max flow has an integral optimum.
+oracle_concave_single brackets the 1-D maximizer of a concave value
+function by a grid pass plus interval shrinking, with no claim of
 exactness, only a width guarantee on the final bracket.
 
 The enumeration is exhaustive over the candidate cross product, and the
@@ -22,22 +24,24 @@ budget counts candidates, not max flows.  A candidate's max flow is
 skipped only when a cut from an earlier flow settles it by weak duality
 at the candidate's own bounds: a Hoffman violator proves it infeasible,
 or a min cut bounds its value by the best found so far.  Neither assumes
-anything about the shape of the deviations.  All candidates are
-pre-scaled to a single integer grid so the inner loop runs the integer
-flow core directly instead of re-deriving a common denominator per
-sample.
+anything about the shape of the deviations.  For each choice of the
+other sets' candidates, the least slack over the stored cuts is kept per
+candidate of the last set, as two running minima, so each candidate is
+settled in constant time.  The candidates and their bounds are built as
+integers on one grid of step 1/scale, with no Fraction per candidate, so
+the inner loop runs the integer flow core directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import floor, lcm, prod
+from math import floor, gcd, lcm, prod
 
 from .errors import BudgetExceeded, ValidationError, require
 from .instance import FEvaluator, Instance
 from .maxflow import _aux_net, _Net
-from .values import simplest_rational_in
+from .values import DeviationFn, simplest_rational_in
 
 __all__ = [
     "oracle_fractional",
@@ -82,36 +86,31 @@ def _over_budget(budget: int, count: int | None = None) -> BudgetExceeded:
 
 
 def _best_over(
-    inst: Instance,
-    grids: list[list[Fraction]],
-    tops: list[list[Fraction]],
-):
-    """Max scaled flow value over the candidate cross product, with scale.
+    inst: Instance, scale: int, lows: list[list[int]], tops: list[list[int]]
+) -> int:
+    """Max flow value over the candidate cross product, times scale.
 
-    ``tops[i][j]`` is the upper bound that candidate ``grids[i][j]`` puts
-    on the members of set i.  Every candidate is accounted for, but its
-    flow is skipped when a cut from an earlier flow already settles it.
-    For a node set S, the slack of a candidate is the sum of the upper
-    bounds on the arcs leaving S minus the lower bounds on the arcs
-    entering S.  A circulation with a t->s return arc needs slack >= 0 on
-    every S the return arc does not leave (Hoffman), and every flow is at
-    most the slack of any S holding s but not t (max-flow/min-cut).  The
-    slack is a sum of per-set terms, so each cut is stored pre-summed: a
-    constant plus one row per set, indexed by the candidate.  No candidate
-    beats the ceiling, the max flow with every lower bound dropped and
-    every set at its largest upper bound, so reaching it ends the search.
+    Every number is an integer on the grid of step 1/scale: capacities
+    count as floor(c * scale), ``lows[i][j]`` is candidate j of set i
+    times scale, and ``tops[i][j]`` the upper bound it puts on the members
+    of set i, times scale.  Every candidate is accounted for, but its flow
+    is skipped when a cut from an earlier flow already settles it.  For a
+    node set S, the slack of a candidate is the sum of the upper bounds on
+    the arcs leaving S minus the lower bounds on the arcs entering S.  A
+    circulation with a t->s return arc needs slack >= 0 on every S the
+    return arc does not leave (Hoffman), and every flow is at most the
+    slack of any S holding s but not t (max-flow/min-cut).  The slack is a
+    sum of per-set terms, so each cut is stored pre-summed: a constant
+    plus one row per set, indexed by the candidate.  For each choice of
+    the other sets' candidates, two running minima over the last set's
+    candidates hold the least slack of the Hoffman cuts and of the value
+    cuts; a cut found on the way is folded in at once.  A candidate is
+    skipped iff its Hoffman minimum is negative or its value minimum is at
+    most the best value so far.  No candidate beats the ceiling, the max
+    flow with every lower bound dropped and every set at its largest upper
+    bound, so reaching it ends the search.
     """
-    dens = [c.denominator for c in inst.capacities]
-    dens += [x.denominator for g in grids for x in g]
-    dens += [d.denominator for col in tops for d in col]
-    scale = lcm(*dens) if dens else 1
-
-    def scaled(x):
-        return x.numerator * (scale // x.denominator)
-
-    caps = [scaled(c) for c in inst.capacities]
-    lows = [[scaled(x) for x in g] for g in grids]
-    tops = [[scaled(d) for d in col] for col in tops]
+    caps = [c.numerator * scale // c.denominator for c in inst.capacities]
     g = inst.graph
     pairs = [(e.tail, e.head) for e in g.edges]
     n, s, t = g.n, g.source, g.sink
@@ -162,56 +161,63 @@ def _best_over(
     ]
     ceiling, _ = _int_value(n, pairs, s, t, [0] * inst.m, ceiling_uppers)
     if not members:
-        return ceiling, scale  # the one candidate, with no bounds to drop
+        return ceiling  # the one candidate, with no bounds to drop
 
-    def here(cut, prefix):
-        """The cut's slack at a prefix of the candidate, and its last row."""
+    def slacks(cut, prefix):
+        """The cut's slack at each last-set candidate after a prefix."""
         const, rows = cut
-        return const + sum(r[j] for r, j in zip(rows, prefix)), rows[-1]
+        b = const + sum(r[j] for r, j in zip(rows, prefix))
+        return [b + r for r in rows[-1]]
+
+    unbounded = [float("inf")] * len(lows[-1])
+
+    def least(cuts, prefix):
+        """The least slack over the cuts, per last-set candidate."""
+        if not cuts:
+            return unbounded
+        rows = [slacks(c, prefix) for c in cuts]
+        return rows[0] if len(rows) == 1 else list(map(min, *rows))
 
     hoffman, value_cuts = [], []
     seen: set[tuple[bool, frozenset[int]]] = set()
-    best = None
+    best = -1  # below every flow value: nothing found yet
     *outer, last = usable
     for prefix in product(*outer):
-        hoffman_here = [here(c, prefix) for c in hoffman]
-        value_here = [here(c, prefix) for c in value_cuts]
+        hlow, vlow = least(hoffman, prefix), least(value_cuts, prefix)
         for j in last:
-            if any(b + row[j] < 0 for b, row in hoffman_here):
-                continue
-            if best is not None and any(b + row[j] <= best for b, row in value_here):
+            if hlow[j] < 0 or vlow[j] <= best:
                 continue
             lowers, uppers = bounds((*prefix, j))
             v, side = _int_value(n, pairs, s, t, lowers, uppers)
             if (v is None, side) not in seen:
                 seen.add((v is None, side))
                 cut, slack = presum(side, lowers, uppers)
-                b, row = here(cut, prefix)
-                require(b + row[j] == slack, "pre-summed cut slack")
+                row = slacks(cut, prefix)
+                require(row[j] == slack, "pre-summed cut slack")
                 if v is None:
                     require(
                         slack < 0 and (s in side or t not in side),
                         "infeasible candidate without a Hoffman violator",
                     )
                     hoffman.append(cut)
-                    hoffman_here.append((b, row))
+                    hlow = list(map(min, hlow, row))
                 else:
                     require(
                         slack == v and s in side and t not in side,
                         "max flow value differs from its cut",
                     )
                     value_cuts.append(cut)
-                    value_here.append((b, row))
-            if v is not None and (best is None or v > best):
+                    vlow = list(map(min, vlow, row))
+            if v is not None and v > best:
                 best = v
                 if best == ceiling:
-                    return best, scale
-    require(best is not None, "the all-zero parameter vector is feasible")
-    return best, scale
+                    return best
+    require(best >= 0, "the all-zero parameter vector is feasible")
+    return best
 
 
-def _lattice(top: Fraction, m: int, limit: int | None = None) -> list[Fraction]:
-    """Every N/D in [0, top] with 1 <= D <= m, ascending.
+def _lattice(top: Fraction, m: int, limit: int | None = None) -> list[tuple[int, int]]:
+    """Every N/D in [0, top] with 1 <= D <= m, ascending, as (N, D) in lowest terms.
 
     Walks the Farey sequence of order m: a/b < c/d are neighbours, and the
     next term is (kc - a)/(kd - b) with k = (m + b) // d.  Given a limit,
@@ -219,13 +225,36 @@ def _lattice(top: Fraction, m: int, limit: int | None = None) -> list[Fraction]:
     costs no more than the limit.
     """
     out = []
+    tn, td = top.numerator, top.denominator
     a, b, c, d = 0, 1, 1, m
-    while a * top.denominator <= top.numerator * b:
+    while a * td <= tn * b:
         if limit is not None and len(out) > limit:
             break
-        out.append(Fraction(a, b))
+        out.append((a, b))
         k = (m + b) // d
         a, b, c, d = c, d, k * c - a, k * d - b
+    return out
+
+
+def _deviation_at(
+    dev: DeviationFn, points: list[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """dev(N/D) as an integer pair (numerator, denominator) for each (N, D).
+
+    With L the lcm of the coefficients' denominators and c'_k = L * c_k,
+    dev(N/D) = sum c'_k N^k D^(deg-k) / (L * D^deg); the sum is taken by
+    Horner's rule on integers.  The pair is not reduced.
+    """
+    cs = dev.poly.coeffs
+    den = lcm(*(c.denominator for c in cs))
+    lead, *rest = [c.numerator * (den // c.denominator) for c in reversed(cs)]
+    out = []
+    for x, d in points:
+        total, dk = lead, 1
+        for c in rest:
+            dk *= d
+            total = total * x + c * dk
+        out.append((total, den * dk))
     return out
 
 
@@ -236,7 +265,9 @@ def oracle_fractional(
 
     Candidates per set are all N/D in [0, u_R] with D from 1 to the edge
     count.  Raises BudgetExceeded when the cross product is larger than
-    budget, before any grid grows past what the budget leaves it.
+    budget, before any grid grows past what the budget leaves it.  The
+    scale is the lcm of the reduced denominators of the capacities, the
+    candidates and their upper bounds.
     """
     grids, count = [], 1
     for i in range(inst.k):
@@ -246,9 +277,20 @@ def oracle_fractional(
         count *= len(grids[-1])
     if count > budget:
         raise _over_budget(budget)
-    tops = [[hs.deviation(x) for x in g] for hs, g in zip(inst.sets, grids)]
-    best, scale = _best_over(inst, grids, tops)
-    return Fraction(best, scale)
+    dens = {c.denominator for c in inst.capacities}
+    tops = []
+    for hs, grid in zip(inst.sets, grids):
+        col = []
+        for num, den in _deviation_at(hs.deviation, grid):
+            g = gcd(num, den)
+            col.append((num // g, den // g))
+        dens.update(d for _, d in grid)
+        dens.update(d for _, d in col)
+        tops.append(col)
+    scale = lcm(*dens)
+    lows = [[x * (scale // d) for x, d in grid] for grid in grids]
+    tops = [[x * (scale // d) for x, d in col] for col in tops]
+    return Fraction(_best_over(inst, scale, lows, tops), scale)
 
 
 def oracle_integer(inst: Instance, budget: int = DEFAULT_BUDGET) -> int:
@@ -257,19 +299,15 @@ def oracle_integer(inst: Instance, budget: int = DEFAULT_BUDGET) -> int:
     Sound for deviations nondecreasing on [0, u_R].  Capacities and upper
     bounds are floored, which is lossless for integral flows.
     """
-    inst = Instance(
-        inst.graph, tuple(Fraction(floor(c)) for c in inst.capacities), inst.sets
-    )
     sizes = [floor(inst.u_R(i)) + 1 for i in range(inst.k)]
     if prod(sizes) > budget:
         raise _over_budget(budget, prod(sizes))
-    grids = [[Fraction(v) for v in range(size)] for size in sizes]
+    lows = [list(range(size)) for size in sizes]
     tops = [
-        [Fraction(floor(hs.deviation(x))) for x in grid]
-        for hs, grid in zip(inst.sets, grids)
+        [num // den for num, den in _deviation_at(hs.deviation, [(x, 1) for x in low])]
+        for hs, low in zip(inst.sets, lows)
     ]
-    best, _ = _best_over(inst, grids, tops)
-    return best
+    return _best_over(inst, 1, lows, tops)
 
 
 def oracle_concave_single(

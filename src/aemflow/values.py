@@ -236,38 +236,54 @@ def _bisect_root(poly: PolyValue, lo: Fraction, hi: Fraction, width: Fraction) -
     return Root(Fraction(ln, ld), Fraction(hn, hd))
 
 
-def _quadratic_roots(
-    poly: PolyValue, width: Fraction, lo: Fraction, hi: Fraction, memo: dict
-) -> list[Root]:
+def _quadratic_form(
+    poly: PolyValue,
+) -> tuple[list[Root], list[tuple[Fraction, Fraction]]]:
+    """A quadratic's roots in closed form: (exact roots, irrational brackets).
+
+    One list is empty.  An irrational pair lies symmetric about the vertex,
+    so an upper bound on the half-width sqrt(disc)/(2|c2|) gives a strict
+    sign-change bracket on each side, left one first.
+    """
     c0 = poly.coeffs[0] if len(poly.coeffs) > 0 else _ZERO
     c1 = poly.coeffs[1] if len(poly.coeffs) > 1 else _ZERO
     c2 = poly.coeffs[2]
     disc = c1 * c1 - 4 * c2 * c0
     if disc < 0:
-        return []
+        return [], []
     vertex = -c1 / (2 * c2)
     if disc == 0:
-        return [Root.exact(vertex)]
+        return [Root.exact(vertex)], []
     s = _sqrt_exact(disc)
     if s is not None:
         r1 = (-c1 - s) / (2 * c2)
         r2 = (-c1 + s) / (2 * c2)
-        return sorted([Root.exact(r1), Root.exact(r2)], key=lambda r: r.lo)
-    # Irrational pair, symmetric about the vertex.  An upper bound on the
-    # half-width sqrt(disc)/(2|c2|) gives sign-change brackets on each side.
-    # Bisection only shrinks a bracket, so one that misses [lo, hi] is
-    # dropped unrefined.
+        return sorted([Root.exact(r1), Root.exact(r2)], key=lambda r: r.lo), []
     p, q = disc.numerator, disc.denominator
     s_hi = Fraction(math.isqrt(p * q) + 1, q)
     half = s_hi / (2 * abs(c2))
-    out = []
-    for side, a, b in ((0, vertex - half, vertex), (1, vertex, vertex + half)):
+    return [], [(vertex - half, vertex), (vertex, vertex + half)]
+
+
+def _quadratic_roots(
+    poly: PolyValue, width: Fraction, lo: Fraction, hi: Fraction, memo: dict
+) -> list[Root]:
+    # The closed form does not depend on [lo, hi]: it is kept in the memo
+    # under (poly, width), and each bisected bracket under (poly, width,
+    # side).  Bisection only shrinks a bracket, so one that misses [lo, hi]
+    # is dropped unrefined.
+    key = (poly, width)
+    if key not in memo:
+        memo[key] = _quadratic_form(poly)
+    exact, brackets = memo[key]
+    out = list(exact)
+    for side, (a, b) in enumerate(brackets):
         if b < lo or a > hi:
             continue
-        key = (poly, width, side)
-        if key not in memo:
-            memo[key] = _bisect_root(poly, a, b, width)
-        out.append(memo[key])
+        at = (poly, width, side)
+        if at not in memo:
+            memo[at] = _bisect_root(poly, a, b, width)
+        out.append(memo[at])
     return out
 
 
@@ -314,9 +330,10 @@ def poly_roots(
     should pass an absolute `width`, or the interval-relative default
     makes each answer finer than the last for no gain.
 
-    A quadratic's irrational brackets do not depend on the interval, so a
-    caller may pass a `memo` dict, which keeps each bisected bracket under
-    (poly, width, side) and bisects it once for all the intervals asked.
+    A quadratic's closed form and its irrational brackets do not depend on
+    the interval, so a caller may pass a `memo` dict.  It keeps the closed
+    form under (poly, width) and each bisected bracket under (poly, width,
+    side), so both are derived once for all the intervals asked.
     """
     if hi < lo:
         raise ValueError("empty interval")

@@ -10,6 +10,7 @@ from aemflow.fileformat import parse_instance
 from aemflow.graph import Graph
 from aemflow.instance import FEvaluator, make_instance
 from aemflow.ksets import solve_integer_constant, solve_k_constant
+from aemflow.oracles import oracle_integer
 from aemflow.randgen import generate_random
 from aemflow.values import DeviationFn
 
@@ -305,6 +306,19 @@ class TestAgainstGrid:
                 assert s.value <= res.opt_value
                 if s.value == res.opt_value:
                     assert (Q(x), Q(y)) >= res.lambda_star
+
+    @given(
+        n=st.integers(5, 8),
+        m=st.integers(8, 12),
+        k=st.integers(1, 4),
+        seed=st.integers(0, 10**6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_integer_optimum_equals_integer_oracle(self, n, m, k, seed):
+        # Up to four sets with capacities to 12: beyond the integer grids
+        # above, and within the pruned enumeration's reach.
+        inst = generate_random(n, m, k, cap_max=12, seed=seed)
+        assert solve_integer_constant(inst).opt_value == oracle_integer(inst)
 
 
 class TestSharedEvaluator:

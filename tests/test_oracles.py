@@ -1,6 +1,6 @@
 from fractions import Fraction as Q
 from itertools import product
-from math import floor
+from math import floor, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +17,7 @@ from aemflow.oracles import (
     oracle_integer,
 )
 from aemflow.randgen import DEVIATION_KINDS, generate_random
-from aemflow.values import DeviationFn
+from aemflow.values import DeviationFn, PolyValue
 from intflow import bounded_flow
 from test_acceptance import mixed_family
 
@@ -236,16 +236,22 @@ def _exhaustive(inst, integer):
     return best
 
 
+def _lattice_values(top, m, limit=None):
+    return [Q(num, den) for num, den in oracles._lattice(top, m, limit)]
+
+
 @pytest.mark.parametrize("top", [Q(0), Q(1), Q(7, 3), Q(5), Q(19, 4)])
 @pytest.mark.parametrize("m", [1, 2, 7, 12])
 def test_lattice_is_the_sorted_candidate_set(top, m):
-    assert oracles._lattice(top, m) == sorted(_plain_lattice(top, m))
+    assert _lattice_values(top, m) == sorted(_plain_lattice(top, m))
+    # The scale is taken from these denominators, so they must be reduced.
+    assert all(gcd(num, den) == 1 for num, den in oracles._lattice(top, m))
 
 
 @pytest.mark.parametrize("limit", [0, 1, 5, 40])
 def test_lattice_limit_stops_one_term_past(limit):
-    full = oracles._lattice(Q(19, 4), 7)
-    got = oracles._lattice(Q(19, 4), 7, limit)
+    full = _lattice_values(Q(19, 4), 7)
+    got = _lattice_values(Q(19, 4), 7, limit)
     assert got == full[: limit + 1]
     assert len(oracles._lattice(Q(10**12), 7, limit)) == limit + 1
 
@@ -260,16 +266,28 @@ class TestPruning:
         m=st.integers(3, 6),
         k=st.integers(1, 2),
         seed=st.integers(0, 10**6),
+        cap_den=st.sampled_from([1, 2, 3]),
+        half=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_matches_plain_enumeration(self, kind, n, m, k, seed):
+    def test_matches_plain_enumeration(self, kind, n, m, k, seed, cap_den, half):
+        # Capacities divided by 2 or 3, and deviations raised by 1/2, put
+        # the candidates and their bounds on a grid finer than the integers.
         inst = generate_random(n, m, k, cap_max=3, deviation_kind=kind, seed=seed)
+        raise_by = PolyValue.constant(Q(1, 2) if half else 0)
+        inst = make_instance(
+            inst.graph,
+            [c / cap_den for c in inst.capacities],
+            [
+                (hs.edges, DeviationFn(hs.deviation.poly + raise_by, hs.deviation.kind))
+                for hs in inst.sets
+            ],
+        )
         assert oracle_fractional(inst) == _exhaustive(inst, integer=False)
         assert oracle_integer(inst) == _exhaustive(inst, integer=True)
 
-    def test_two_set_flow_count(self, monkeypatch):
-        # Regression gate on the k = 2 instances of acceptance test c04:
-        # without pruning they take 313796 max flows.
+    @staticmethod
+    def _count_flows(monkeypatch, oracle):
         calls = 0
         real = oracles._int_value
 
@@ -281,9 +299,17 @@ class TestPruning:
         monkeypatch.setattr(oracles, "_int_value", counted)
         insts = [inst for i in range(200) if (inst := mixed_family(i)).k == 2]
         for inst in insts:
-            oracle_fractional(inst)
+            oracle(inst)
         assert len(insts) == 66
-        assert calls == 2265
+        return calls
+
+    def test_two_set_flow_count(self, monkeypatch):
+        # Regression gate on the k = 2 instances of acceptance test c04:
+        # without pruning they take 313796 max flows.
+        assert self._count_flows(monkeypatch, oracle_fractional) == 2265
+
+    def test_two_set_integer_flow_count(self, monkeypatch):
+        assert self._count_flows(monkeypatch, oracle_integer) == 239
 
     def test_wrong_cut_is_caught(self, monkeypatch):
         real = oracles._int_value

@@ -357,8 +357,9 @@ class TestBisectRoot:
             lo, hi = min(lo, hi), max(lo, hi)
             want = poly_roots(poly, lo, hi, width)
             assert poly_roots(poly, lo, hi, width, memo) == want
-        # One entry per side at most, whatever the boxes asked.
-        assert set(memo) <= {(poly, width, 0), (poly, width, 1)}
+        # The closed form, and one bracket per side at most, whatever the
+        # boxes asked.
+        assert set(memo) <= {(poly, width), (poly, width, 0), (poly, width, 1)}
 
     def test_probe_on_a_rational_root_is_exact(self):
         # (3x - 2)(x^2 + 1): the first probe 1/2 moves lo, the second is 2/3.
