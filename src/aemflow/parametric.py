@@ -34,11 +34,10 @@ Three exact primitives are built on that picture:
   mid-way or returns the value function's affine form on the final
   interval, whose better endpoint is the optimum.
 
-The symbolic run itself, :func:`symbolic_max_flow`, is shared with the
-concave solver: it routes the lower bounds by a circulation over
-:class:`_SymNet`, then augments from source to sink, and every branch it
-takes is the sign of a polynomial at the unknown optimum, answered by the
-caller's sign oracle.
+The symbolic run itself, :func:`symbolic_max_flow`, routes the lower
+bounds by a circulation over :class:`_SymNet`, then augments from source
+to sink, and every branch it takes is the sign of a polynomial at the
+unknown optimum, answered by the caller's sign oracle.
 
 All rationals are exact.  The one tolerance in this module is ``tol``,
 the width of the brackets around irrational roots on curved pieces.

@@ -491,22 +491,6 @@ class DeviationFn:
                 pts.append(root.midpoint())
         return pts
 
-    def crossing(
-        self, target: Fraction, lo: Fraction, hi: Fraction, memo: dict | None = None
-    ) -> Root | None:
-        """Where Delta(x) == target on [lo, hi], if anywhere.
-
-        Monotone deviations cross any level at most once up to plateaus;
-        the smallest crossing is returned.  `memo` is passed to
-        :func:`poly_roots`.
-        """
-        target = _as_fraction(target)
-        diff = self.poly - PolyValue((target,))
-        if diff.is_zero():
-            return Root.exact(_as_fraction(lo))
-        roots = poly_roots(diff, _as_fraction(lo), _as_fraction(hi), memo=memo)
-        return roots[0] if roots else None
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, DeviationFn)

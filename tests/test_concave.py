@@ -12,6 +12,7 @@ from aemflow.fileformat import parse_instance
 from aemflow.graph import Graph
 from aemflow.instance import FEvaluator, make_instance
 from aemflow.ksets import solve_k_constant
+from aemflow.lp import solve_lp_constant
 from aemflow.oracles import oracle_concave_single
 from aemflow.parametric import Slice
 from aemflow.randgen import generate_random
@@ -210,8 +211,8 @@ def c08_instances():
         )
 
 
-def solve_c08_recording(monkeypatch):
-    """Solve every c08 instance; return the solves' FEvaluators and, per
+def solve_recording(monkeypatch, insts):
+    """Solve every instance; return the solves' FEvaluators and, per
     solve, the arguments of each root bisection."""
     made, bisected = [], []
 
@@ -228,7 +229,7 @@ def solve_c08_recording(monkeypatch):
 
     monkeypatch.setattr(concave, "FEvaluator", Recording)
     monkeypatch.setattr(values, "_bisect_root", recording)
-    for inst in c08_instances():
+    for inst in insts:
         bisected.append([])
         solve_concave_single(inst)
     return made, bisected
@@ -236,7 +237,7 @@ def solve_c08_recording(monkeypatch):
 
 class TestBracketMemo:
     def test_no_root_query_repeats_within_a_solve(self, monkeypatch):
-        _, bisected = solve_c08_recording(monkeypatch)
+        _, bisected = solve_recording(monkeypatch, c08_instances())
         for calls in bisected:
             assert len(calls) == len(set(calls))
         assert any(bisected)
@@ -244,11 +245,39 @@ class TestBracketMemo:
 
 class TestWorkCounts:
     def test_pinned_counts(self, monkeypatch):
-        # Before the feasible edge came from the slice's deficiency walk
-        # and each root bracket was bisected once per solve: 713 and 102.
-        made, bisected = solve_c08_recording(monkeypatch)
-        assert sum(ev.evaluations for ev in made) == 171
-        assert sum(map(len, bisected)) == 35
+        made, bisected = solve_recording(monkeypatch, c08_instances())
+        assert sum(ev.evaluations for ev in made) == 79
+        assert sum(map(len, bisected)) == 6
+
+    def test_quadratic_solves_within_the_shape_cap(self, monkeypatch):
+        # (|S|+1)(|S|+2)/2 support shapes: the first sample adds one, each
+        # round that does not end the walk adds one with at most two
+        # samples, and the last round takes at most three.
+        insts = list(item11_draws("quadratic"))
+        made, _ = solve_recording(monkeypatch, insts)
+        for inst, ev in zip(insts, made, strict=True):
+            members = len(inst.sets[0].edges)
+            shapes = (members + 1) * (members + 2) // 2
+            assert ev.evaluations <= 2 + 2 * (shapes - 1) + 3
+
+
+class TestExactOnAffine:
+    """Affine optima are rational, so the walk must hit the simplex's
+    smallest maximizer exactly, with no oracle slack."""
+
+    def test_equals_the_simplex(self):
+        insts = [
+            *item11_draws("affine"),
+            *(
+                generate_random(10, 30, 1, deviation_kind="affine", seed=s)
+                for s in range(40)
+            ),
+        ]
+        for inst in insts:
+            res = solve_concave_single(inst)
+            want = solve_lp_constant(inst)
+            assert res.lambda_star == want.lambda_star
+            assert res.opt_value == want.opt_value
 
 
 def item11_draws(kind):

@@ -423,15 +423,6 @@ class TestDeviationFn:
         with pytest.raises(ValueError):
             d.validate_on(Q(0), Q(10))
 
-    def test_crossing(self):
-        d = DeviationFn.constant_shift(2)
-        r = d.crossing(Q(5), Q(0), Q(10))
-        assert r.is_exact and r.value == 3
-
-    def test_crossing_absent(self):
-        d = DeviationFn.constant_shift(2)
-        assert d.crossing(Q(100), Q(0), Q(10)) is None
-
     @given(st.fractions(min_value=0, max_value=20, max_denominator=8))
     def test_shift_dominates_identity(self, x):
         d = DeviationFn.constant_shift(Q(5, 3))
