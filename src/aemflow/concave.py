@@ -73,7 +73,6 @@ def solve_concave_single(inst: Instance) -> SolveResult:
             "concave solve handles exactly one homologous set, "
             f"got {inst.k}"
         )
-    dev = inst.sets[0].deviation
     ev = FEvaluator(inst)
     sl = Slice(inst, 0, {}, ev)
     edge = sl.feasible_interval()[1]
@@ -102,17 +101,11 @@ def solve_concave_single(inst: Instance) -> SolveResult:
         fx = vals[x] = s.value
         tight = bool(supports) and min(p.eval(x) for p, _ in supports.values()) == fx
         sc = s.report.sets[0]
-        back = sc.backward_count
         for live in {sc.live(x, False), sc.live(x, True)}:
-            if (live, back) in supports:
+            if (live, sc.backward_count) in supports:
                 require(tight, "a sample below the model repeats a support shape")
                 continue
-            add_support(
-                (live, back),
-                PolyValue.constant(fx - live * dev(x) + back * x)
-                + dev.poly.scale(live)
-                - PolyValue((_ZERO, Fraction(back))),
-            )
+            add_support((live, sc.backward_count), sc.support(x, fx, live))
         return tight
 
     def rising(y: Fraction) -> bool:

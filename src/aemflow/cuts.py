@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .values import DeviationFn
+from .values import DeviationFn, PolyValue
 
 __all__ = ["SetCrossing", "CutReport"]
 
@@ -52,6 +52,22 @@ class SetCrossing:
         if right:
             return sum(1 for u in self.forward_uppers if dx < u)
         return sum(1 for u in self.forward_uppers if dx <= u)
+
+    def support(self, x: Fraction, value: Fraction, live: int) -> PolyValue:
+        """The set's terms with every member frozen at its clamp state, as
+        a polynomial equal to `value` at x:
+
+            P(y) = value + live * (Delta(y) - Delta(x)) - back * (y - x)
+
+        where `live` counts the forward members that follow Delta on the
+        side of x in question (see `live`).
+        """
+        back = self.backward_count
+        return (
+            PolyValue.constant(value - live * self.deviation(x) + back * x)
+            + self.deviation.poly.scale(live)
+            - PolyValue((0, back))
+        )
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,11 @@ Three exact primitives are built on that picture:
   outright.  Declaring the query point itself optimal additionally
   requires the probe cut's one-sided slope to match the chord exactly;
   that match certifies F is linear across the probe window, which pins
-  the one-sided derivatives at the query point.  When the certificate fails the window shrinks and the
-  probes repeat, and since F has finitely many kinks this terminates.
+  the one-sided derivatives at the query point.  When the certificate
+  fails the window shrinks and the probes repeat, and since F has
+  finitely many kinks this terminates.  The probe window serves
+  ``resolve`` alone: the breakpoint profile reads the same cut lines
+  without one.
 * ``Slice.solve`` runs the flow computation once with bounds that are
   degree-one polynomials in the free parameter, answering every
   comparison through ``resolve`` while narrowing the interval that must
@@ -48,7 +51,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import (
     Infeasible,
@@ -198,12 +201,7 @@ class Slice:
             lo, hi = min(x, end), max(x, end)
             if live and dev.degree > 1:
                 # -P(y) = short - live * (Delta(y) - Delta(x)) + back * (y - x)
-                support = (
-                    PolyValue.constant(short + live * dev(x) - back * x)
-                    + dev.poly.scale(-live)
-                    + PolyValue((_ZERO, Fraction(back)))
-                )
-                roots = self.roots(support, lo, hi)
+                roots = self.roots(-sc.support(x, -short, live), lo, hi)
             else:
                 # -P is the line short + slope * (y - x): its root is exact.
                 slope = back - live * dev.derivative_at(x)
@@ -254,33 +252,6 @@ class Slice:
 
     # -- probe resolution ----------------------------------------------------
 
-    def probe_widths(self, x: Fraction, reach: Fraction) -> Iterator[Fraction]:
-        """Probe window widths around x, each a sixteenth of the last.
-
-        The first is a starting gap capped at `reach`.  Raises InternalError
-        once all 80 are used up.
-        """
-        eps = min(Fraction(1, 2 * self._eps_scale * x.denominator), reach)
-        for _ in range(80):
-            yield eps
-            eps /= 16
-        raise InternalError("probe window failed to certify a verdict")
-
-    def probe(
-        self, x: Fraction, fx: FSample, t: Fraction
-    ) -> tuple[FSample, Fraction, bool]:
-        """The sample at t, the chord slope from x to t, and its certificate.
-
-        The chord is certified when the one-sided slope of t's cut facing x
-        equals it, which proves F linear between x and t.
-        """
-        st = self.sample(t)
-        require(st.feasible, "probe is infeasible")
-        chord = (st.value - fx.value) / (t - x)
-        rep = st.report
-        slope = rep.left_slope(self.free, t) if t > x else rep.right_slope(self.free, t)
-        return st, chord, slope == chord
-
     def resolve(self, x) -> Order:
         """Place the slice optimum relative to x.  Exact, no tolerance.
 
@@ -306,15 +277,25 @@ class Slice:
             return Order.EQUAL
         fx = self.sample(x)
         require(fx.feasible, "query point inside the feasible interval is infeasible")
-        for eps in self.probe_widths(x, bf - af):
+        # Each window is a sixteenth of the last.  A chord is certified
+        # when the one-sided slope of its probe's cut, facing x, equals
+        # it: that proves F linear between x and the probe.
+        eps = min(Fraction(1, 2 * self._eps_scale * x.denominator), bf - af)
+        for _ in range(80):
             cl = cr = None
             cert_l = cert_r = False
             if x > af:
                 t1 = x - min(eps, x - af)
-                s1, cl, cert_l = self.probe(x, fx, t1)
+                s1 = self.sample(t1)
+                require(s1.feasible, "probe is infeasible")
+                cl = (fx.value - s1.value) / (x - t1)
+                cert_l = s1.report.right_slope(self.free, t1) == cl
             if x < bf:
                 t2 = x + min(eps, bf - x)
-                s2, cr, cert_r = self.probe(x, fx, t2)
+                s2 = self.sample(t2)
+                require(s2.feasible, "probe is infeasible")
+                cr = (s2.value - fx.value) / (t2 - x)
+                cert_r = s2.report.left_slope(self.free, t2) == cr
             # Chord verdicts need no certificate: concavity alone makes a
             # flat-or-falling left chord push the smallest maximizer left,
             # and a rising right chord push it right.
@@ -332,6 +313,8 @@ class Slice:
                 cross = ((s2.value - cr * t2) - (s1.value - cl * t1)) / (cl - cr)
                 require(cross == x, "certified probe lines miss the query point")
                 return Order.EQUAL
+            eps /= 16
+        raise InternalError("probe window failed to certify a verdict")
 
     # -- parametric solve ----------------------------------------------------
 

@@ -2,18 +2,27 @@
 
 For a single homologous set with a constant-shift deviation, the value
 function F is concave and piecewise linear on its feasible interval, with
-integer segment slopes.  This module walks the pieces left to right and
-returns every breakpoint, value and slope exactly.
+integer segment slopes.  This module returns every breakpoint, value and
+slope exactly.
 
-The walk needs two exact subroutines.  The slope of the piece starting at
-a point comes from a certified right probe: a chord to a nearby sample
-whose cut reproduces the chord slope as its own one-sided slope, which
-proves F linear across the window.  The end of the piece comes from a
-shrinking iteration: extend the piece's line L, test a candidate y, and
-while F(y) sits strictly below L(y) replace y with the intersection of L
-and the tangent line of y's min cut.  The tangent lies above F everywhere,
-so candidates never undershoot the true breakpoint and the iteration lands
-on it exactly after finitely many cuts.
+Each F sample's min cut prices two lines through the sample: its capacity
+g_S with the one-sided slopes of the report.  g_S is concave and at least
+F, so both lines lie above F everywhere.  The pieces come from the
+Eisner–Severance recursion (JACM 1976) on those lines.  On [a, b], cross
+a's right line A with b's left line B at c.  Equal slopes make F's chord
+from a to b one of the lines, so F is linear on [a, b].  F(c) on both
+lines proves F = A on [a, c] and F = B on [c, b], since a concave F that
+meets an upper line at two points follows it between them.  Otherwise
+recurse on [a, c] and [c, b]; adjacent pieces of equal slope are merged
+at the end.
+
+The recursion depth is derived from the slopes.  A cut's one-sided slope
+live - back is an integer in [-|S|, |S|], so the gap between the slopes
+of A and B is at most 2|S|.  On a split, F(c) lies below both lines.
+c's left line meets F at c, below B, and stays above F(b) = B(b), so it
+rises faster than B; c's right line falls below A by the same argument
+at a.  Each child's gap is therefore strictly smaller, and a gap of zero
+ends the recursion, so it is at most 2|S| deep.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalError, UnsupportedDeviation, ValidationError, require
+from .errors import UnsupportedDeviation, ValidationError, require
 from .instance import Instance
 from .parametric import Slice
 
@@ -49,32 +58,6 @@ class BreakpointProfile:
         return len(self.segment_slopes)
 
 
-def _certified_right_slope(sl: Slice, x: Fraction, bf: Fraction) -> Fraction:
-    fx = sl.sample(x)
-    for eps in sl.probe_widths(x, bf - x):
-        _, chord, certified = sl.probe(x, fx, x + eps)
-        if certified:
-            return chord
-
-
-def _piece_end(sl: Slice, x: Fraction, sigma: Fraction, bf: Fraction) -> Fraction:
-    fx = sl.sample(x).value
-    y = bf
-    for _ in range(200):
-        sy = sl.sample(y)
-        if sy.value == fx + sigma * (y - x):
-            return y
-        m = sy.report.left_slope(sl.free, y)
-        # Tangent of the cut at y stays above F, the piece line stays
-        # above F too, so their crossing brackets the breakpoint from the
-        # right and strictly improves y.
-        require(m < sigma, "cut tangent does not fall below the piece slope")
-        y_new = (sy.value - m * y - fx + sigma * x) / (sigma - m)
-        require(x < y_new < y, "breakpoint candidate left its bracket")
-        y = y_new
-    raise InternalError("piece end search failed to converge")
-
-
 def breakpoint_profile(inst: Instance) -> BreakpointProfile:
     """All breakpoints of F for a one-set, constant-shift instance."""
     if inst.k != 1:
@@ -86,24 +69,41 @@ def breakpoint_profile(inst: Instance) -> BreakpointProfile:
     sl = Slice(inst, 0, {})
     af, bf = sl.feasible_interval()
     require(af == 0, "zero is always routable with a single set")
-    pts = [Fraction(0)]
-    vals = [sl.sample(Fraction(0)).value]
-    slopes: list[Fraction] = []
-    x = Fraction(0)
-    limit = 2 * inst.m + 4
-    while x < bf:
-        require(len(slopes) <= limit, "more pieces than cuts can produce")
-        sigma = _certified_right_slope(sl, x, bf)
-        end = _piece_end(sl, x, sigma, bf)
-        slopes.append(sigma)
-        pts.append(end)
-        vals.append(sl.sample(end).value)
-        x = end
+    # The widest slope gap, 2|S|, caps the depth; slopes take gap + 1 values.
+    gap = 2 * len(inst.sets[0].edges)
+
+    # Pieces as (right end, slope), found left to right: the stack holds
+    # the intervals still to split, leftmost on top.
+    pieces: list[tuple[Fraction, Fraction]] = []
+    todo = [(af, bf, 0)] if af < bf else []
+    while todo:
+        a, b, depth = todo.pop()
+        require(depth <= gap, "profile recursion passed its slope-gap depth")
+        sa, sb = sl.sample(a), sl.sample(b)
+        fa, ra = sa.value, sa.report.right_slope(0, a)
+        fb, lb = sb.value, sb.report.left_slope(0, b)
+        if ra == lb:
+            pieces.append((b, ra))
+            continue
+        require(ra > lb, "cut lines are not concave across the interval")
+        c = (fb - lb * b - fa + ra * a) / (ra - lb)
+        if sl.sample(c).value == fa + ra * (c - a):
+            if a < c:
+                pieces.append((c, ra))
+            if c < b:
+                pieces.append((b, lb))
+            continue
+        todo += [(c, b, depth + 1), (a, c, depth + 1)]
+    pts, slopes = [af], []
+    for end, sgm in pieces:
+        if slopes and slopes[-1] == sgm:
+            pts[-1] = end
+        else:
+            pts.append(end)
+            slopes.append(sgm)
     require(all(a > b for a, b in zip(slopes, slopes[1:])), "slopes must fall")
-    argmax = pts[-1]
-    for i, sgm in enumerate(slopes):
-        if sgm <= 0:
-            argmax = pts[i]
-            break
+    require(len(slopes) <= gap + 1, "more pieces than distinct cut slopes")
+    vals = [sl.sample(x).value for x in pts]
+    argmax = next((x for x, sgm in zip(pts, slopes) if sgm <= 0), pts[-1])
     opt = vals[pts.index(argmax)]
     return BreakpointProfile(tuple(pts), tuple(vals), tuple(slopes), argmax, opt)

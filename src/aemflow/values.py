@@ -1,12 +1,13 @@
 """Symbolic values carried through parameter-dependent computations.
 
-The parametric solvers simulate flow algorithms on a network whose bounds
-depend on one unknown parameter, the optimum.  Flow amounts and residual
-capacities are then univariate polynomials in that parameter,
-:class:`PolyValue`, with exact rational coefficients: degree one for
-affine deviations, the deviation's degree otherwise.  Flow updates only
-ever add, subtract and scale, so the domain is closed under everything
-the simulation does.
+`Slice.solve` simulates a flow algorithm on a network whose bounds
+depend on one unknown parameter, the optimum, and only affine deviations
+reach it.  Flow amounts and residual capacities are then degree-one
+polynomials in that parameter, :class:`PolyValue`, with exact rational
+coefficients.  Flow updates only ever add, subtract and scale, so the
+domain is closed under everything the simulation does.  Deviations, and
+the clamp-frozen cut supports that the concave solver and the deficiency
+walk take roots of, are PolyValues of the deviation's degree.
 
 Every branch of such a simulation asks for the sign of a polynomial at
 the unknown optimum, and every answer is an :class:`Order`.  The same

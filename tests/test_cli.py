@@ -4,6 +4,7 @@ Everything runs in process through cli.main so exit codes and the exact
 bytes on stdout/stderr are observable without subprocesses.
 """
 
+import hashlib
 import time
 from fractions import Fraction as Q
 
@@ -248,6 +249,26 @@ class TestBreakpoints:
         rows = (tmp / "out.csv").read_text().splitlines()
         assert rows[0] == "lambda,F,slope"
         assert rows[1:] == ["0,2,2", "3,8,1", "4,9,1"]
+
+    def test_csvs_pinned_on_random_draws(self, capsys, files):
+        # 60 one-set shift draws at three capacity ranges, with zero to
+        # three pieces each.  The digest covers every CSV and every argmax
+        # and value line, so the output must stay byte-identical.
+        write, tmp = files
+        csv = str(tmp / "out.csv")
+        digest = hashlib.sha256()
+        for cap in (6, 12, 10**6):
+            for s in range(20):
+                n = 3 + s % 10
+                inst = af.generate_random(n, 3 * n + s % 7, 1, cap_max=cap, seed=s)
+                path = write("r.aemfp", af.write_instance(inst))
+                rc, out, _ = run(capsys, "breakpoints", path, "-o", csv)
+                assert rc == 0
+                digest.update((tmp / "out.csv").read_bytes())
+                digest.update(out.split("\n", 1)[1].encode())
+        assert digest.hexdigest() == (
+            "ebbc60713a8b41232b9d27cebdbcca3f81c9968af230a93cc57e94b73e93eb18"
+        )
 
     def test_affine_rejected_with_4(self, capsys, files):
         write, tmp = files

@@ -12,6 +12,7 @@ from aemflow.errors import (
     ValidationError,
 )
 from aemflow.graph import Graph
+from aemflow import parametric
 from aemflow.instance import FEvaluator, make_instance
 from aemflow.ksets import solve_k_constant
 from aemflow.parametric import Slice, slice_bounds, symbolic_max_flow
@@ -74,6 +75,21 @@ def chain_singleton():
     g.add_edge("v", "t")
     g.source, g.sink = 0, 2
     return make_instance(g, [4, 6], [([0], shift(2))])
+
+
+def staircase():
+    """Six parallel members with distinct fractional capacities and one
+    backward member: F = sum min(u, lam + 5) - lam falls in slope by one
+    at each u - 5, through seven pieces from slope 5 to -1."""
+    g = Graph()
+    g.add_node("s")
+    g.add_node("t")
+    for _ in range(6):
+        g.add_edge("s", "t")
+    g.add_edge("t", "s")
+    g.source, g.sink = 0, 1
+    caps = [Q(11, 2), Q(20, 3), Q(15, 2), Q(33, 4), Q(46, 5), Q(31, 3), 12]
+    return make_instance(g, caps, [(range(7), shift(5))])
 
 
 def two_stage():
@@ -357,6 +373,29 @@ class TestProfile:
         with pytest.raises(ValidationError):
             breakpoint_profile(two_stage())
 
+    def test_many_pieces(self, monkeypatch):
+        made = []
+
+        class Recording(FEvaluator):
+            def __init__(self, inst):
+                super().__init__(inst)
+                made.append(self)
+
+        monkeypatch.setattr(parametric, "FEvaluator", Recording)
+        prof = breakpoint_profile(staircase())
+        assert prof.breakpoints == (
+            0, Q(1, 2), Q(5, 3), Q(5, 2), Q(13, 4), Q(21, 5), Q(16, 3), Q(11, 2)
+        )
+        assert prof.values == (
+            30, Q(65, 2), Q(223, 6), Q(119, 3), Q(247, 6), Q(2527, 60),
+            Q(2527, 60), Q(839, 20),
+        )
+        assert prof.segment_slopes == (5, 4, 3, 2, 1, 0, -1)
+        assert prof.argmax == Q(21, 5)
+        assert prof.opt_value == Q(2527, 60)
+        # Eight breakpoints and five line crossings that split an interval.
+        assert [ev.evaluations for ev in made] == [13]
+
 
 @st.composite
 def small_instances(draw):
@@ -384,6 +423,37 @@ def small_instances(draw):
     return make_instance(g, caps, [(sorted([r1, r2]), shift(c))])
 
 
+def assert_profile_is_f(ev, prof, points):
+    """`prof` describes F exactly: its interpolation equals F at every
+    point, breakpoint and piece midpoint, F is infeasible outside it, its
+    slopes strictly fall, and F kinks at every interior breakpoint."""
+    bps, vals, slopes = prof.breakpoints, prof.values, prof.segment_slopes
+    assert len(vals) == len(bps) == len(slopes) + 1
+    assert all(a < b for a, b in zip(bps, bps[1:]))
+    assert all(a > b for a, b in zip(slopes, slopes[1:]))
+
+    def value(x):
+        s = ev.sample((x,))
+        return s.value if s.feasible else None
+
+    def interpolated(x):
+        if not bps[0] <= x <= bps[-1]:
+            return None
+        i = max(j for j in range(len(bps)) if bps[j] <= x)
+        if i == len(slopes):
+            return vals[i]
+        return vals[i] + slopes[i] * (x - bps[i])
+
+    mids = [(a + b) / 2 for a, b in zip(bps, bps[1:])]
+    for x in sorted({*points, *bps, *mids}):
+        assert value(x) == interpolated(x), x
+    # A concave F that meets a chord strictly inside it is linear there,
+    # so F above the chord between neighbouring midpoints is a real kink.
+    for bp, m1, m2 in zip(bps[1:-1], mids, mids[1:]):
+        chord = value(m1) + (value(m2) - value(m1)) * (bp - m1) / (m2 - m1)
+        assert value(bp) > chord, bp
+
+
 class TestAgainstDenseGrid:
     @given(small_instances())
     @settings(max_examples=20, deadline=None)
@@ -408,6 +478,7 @@ class TestAgainstDenseGrid:
                 assert s.value < res.opt_value
             if x == star:
                 assert s.value == res.opt_value
+        assert_profile_is_f(ev, prof, points)
 
 
 class TestEnginesAgree:
