@@ -65,17 +65,14 @@ def _read(path: str) -> str:
 
 
 def _dispatch_solve(inst: Instance, integer: bool, method: str) -> SolveResult:
+    if integer:
+        if method != "auto":
+            raise UnsupportedDeviation("integer solving takes no --method")
+        return solve_integer_constant(inst)
     if method == "concave":
-        if integer:
-            raise UnsupportedDeviation("the concave solver has no integer mode")
         return solve_concave_single(inst)
     if all(hs.deviation.is_constant_shift for hs in inst.sets):
-        solve = solve_integer_constant if integer else solve_k_constant
-        return solve(inst, method)
-    if integer:
-        raise UnsupportedDeviation(
-            "integer solving supports constant-shift deviations only"
-        )
+        return solve_k_constant(inst, method)
     if method == "parametric":
         raise UnsupportedDeviation(
             "the parametric solver supports constant-shift deviations only"

@@ -26,21 +26,14 @@ one-sided optimality conditions.
 Three or more sets go to the exact simplex in ``lp``; nested search
 refuses them.
 
-Integer optima start from the fractional solution: for each coordinate
-take floor and ceiling, evaluate every corner that stays feasible plus the
-all-zero point, and keep the lexicographically smallest argmax.  That is
-exact when the fractional optimum is integral, and at one set, where F is
-concave on an interval.  Otherwise, with two or more sets the integer
-optimum can lie outside that box, so the best corner only seeds an exact
-LP branch-and-bound in ``lp``.  Everything runs on the instance with
-capacities and shifts floored, which has the same integral flows.
+Integer optima take no fractional solve: branch-and-bound on the
+cutting-plane master in ``lp`` finds them at every k.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from math import ceil, floor, lcm
+from math import floor, lcm
 
 from .errors import Infeasible, UnsupportedDeviation, ValidationError, require
 from .instance import FEvaluator, HomologousSet, Instance, SolveResult
@@ -138,19 +131,22 @@ def _pin_solve(inst: Instance, ev: FEvaluator) -> tuple[tuple[Fraction, ...], Fr
     return (r, out.x), out.value
 
 
-def _solve_on(ev: FEvaluator, method: str) -> SolveResult:
-    """`solve_k_constant` with every F sample through `ev`."""
-    inst = ev.inst
+def solve_k_constant(inst: Instance, method: str = "auto") -> SolveResult:
+    """Lexicographically smallest optimum over all constant-shift sets.
+
+    Up to two sets both methods run the slice solver or nested search.
+    Beyond two, ``auto`` runs exact linear programming and ``parametric``
+    raises `UnsupportedDeviation`.
+    """
     if method not in ("auto", "parametric"):
         raise ValidationError(f"unknown method {method!r}")
-    for i, hs in enumerate(inst.sets):
-        if not hs.deviation.is_constant_shift:
-            raise UnsupportedDeviation(f"set {i}: constant-shift deviation required here")
+    _require_shifts(inst)
     if method == "parametric" and inst.k >= 3:
         raise UnsupportedDeviation(
             "nested search handles at most two homologous sets; "
             "--method auto uses the simplex"
         )
+    ev = FEvaluator(inst)
     if inst.k == 0:
         return ev.result(())
     if inst.k == 1:
@@ -166,63 +162,29 @@ def _solve_on(ev: FEvaluator, method: str) -> SolveResult:
     return out
 
 
-def solve_k_constant(inst: Instance, method: str = "auto") -> SolveResult:
-    """Lexicographically smallest optimum over all constant-shift sets.
-
-    Up to two sets both methods run the slice solver or nested search.
-    Beyond two, ``auto`` runs exact linear programming and ``parametric``
-    raises `UnsupportedDeviation`.
-    """
-    return _solve_on(FEvaluator(inst), method)
+def _require_shifts(inst: Instance) -> None:
+    for i, hs in enumerate(inst.sets):
+        if not hs.deviation.is_constant_shift:
+            raise UnsupportedDeviation(f"set {i}: constant-shift deviation required here")
 
 
-def _floor_shift(dev: DeviationFn) -> DeviationFn:
-    """A constant shift rounded down; other shapes are rejected later."""
-    if not dev.is_constant_shift:
-        return dev
-    return DeviationFn.constant_shift(floor(dev.shift_amount()))
-
-
-def solve_integer_constant(inst: Instance, method: str = "auto") -> SolveResult:
+def solve_integer_constant(inst: Instance) -> SolveResult:
     """Best all-integer parameter vector for a constant-shift instance.
 
     An integral flow meets a capacity c, or a shift c over an integral set
     minimum, exactly when it meets floor(c), so the solve runs with both
-    floored and its flows stay valid for `inst`.  Rounds the fractional
-    optimum coordinate-wise, evaluates every floor/ceiling corner that
-    stays feasible together with the all-zero vector, and keeps the
-    lexicographically smallest argmax.  The corners reuse the fractional
-    solve's evaluator and so its samples.  With two or more sets and a
-    fractional optimum that is not integral, that argmax seeds an exact
-    branch-and-bound, whatever ``method`` says.
+    floored and its flows stay valid for `inst`.
     """
-    inst = Instance(
-        inst.graph,
-        tuple(Fraction(floor(c)) for c in inst.capacities),
-        tuple(HomologousSet(hs.edges, _floor_shift(hs.deviation)) for hs in inst.sets),
+    _require_shifts(inst)
+    caps = tuple(Fraction(floor(c)) for c in inst.capacities)
+    sets = tuple(
+        HomologousSet(hs.edges, DeviationFn.constant_shift(floor(hs.deviation.shift_amount())))
+        for hs in inst.sets
     )
-    ev = FEvaluator(inst)
-    base = _solve_on(ev, method)
-    choices = []
-    for i, x in enumerate(base.lambda_star):
-        top = floor(inst.u_R(i))
-        vals = {min(floor(x), top), min(ceil(x), top)}
-        choices.append(sorted(Fraction(v) for v in vals))
-    candidates = {tuple(c) for c in product(*choices)}
-    candidates.add(tuple(Fraction(0) for _ in range(inst.k)))
-    best = None
-    best_val = None
-    for cand in sorted(candidates):
-        s = ev.sample(cand)
-        if not s.feasible:
-            continue
-        if best is None or s.value > best_val:
-            best, best_val = cand, s.value
-    require(best is not None, "the all-zero vector is always feasible")
-    if inst.k >= 2 and any(x.denominator != 1 for x in base.lambda_star):
-        from .lp import _lp_int_optimum
+    from .lp import _int_optimum
 
-        best, best_val = _lp_int_optimum(inst, best, best_val)
-    out = ev.result(best)
-    require(out.opt_value == best_val, "the optimum's flow disagrees with its value")
+    ev = FEvaluator(Instance(inst.graph, caps, sets))
+    lam, value = _int_optimum(ev)
+    out = ev.result(lam)
+    require(out.opt_value == value, "the optimum's flow disagrees with its value")
     return out

@@ -34,16 +34,20 @@ positive), so on int cells it stays in ints.  Every division goes through
 Fraction, so no float arises, and every value, hence every choice of
 Bland's rule, is exactly what an all-Fraction tableau would hold.
 
-Integral parameter vectors are found by LP branch-and-bound on the
-parameters alone (Land and Doig, Econometrica 1960): with integral data,
-fixing integral parameters leaves a flow program with integral bounds,
-whose optimum over flows is integral, so no flow variable needs a branch.
-A node whose parameters come out fractional splits on the first such
-lam_i into lam_i <= floor and lam_i >= ceil; a node is dropped when the
-floor of its bound cannot beat the incumbent.  The value is maximized
-first, then each parameter in turn is minimized with the value and the
-earlier parameters pinned, which gives the lexicographically smallest
-integral optimum.
+Integral parameter vectors come from branch-and-bound over boxes on lam,
+on a master program in (lam, z) whose rows come from F samples, starting
+at lam = 0, which is always feasible.  A feasible sample x with min cut C
+gives the value row z <= g_C(x) + sum_i s_i (lam_i - x_i), with s_i the
+cut's right slope in lam_i at x; it bounds the concave F from above.  At
+an infeasible x the auxiliary min cut T has g_T(x) < 0, and g_T >= 0
+wherever lam is feasible (Hoffman 1960), so the Hoffman row
+0 <= g_T(x) + sum_i s_i (lam_i - x_i) cuts x off.  A node's master point
+is sampled until F meets it (Kelley 1960), then branched on as in Land
+and Doig (1960): first for the value, then for each lam_i in turn with
+z >= value and the earlier ones pinned.  No iteration cap is needed: a
+sample below the master point adds a row that the point violates, so a
+new one; rows are fixed by a cut and its members' clamp states, so they
+are finitely many, and a repeated one raises `InternalError`.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from math import ceil, floor
 
 from .errors import UnsupportedDeviation, require
 from .instance import FEvaluator, Instance, SolveResult
+from .maxflow import deficiency_int
 
 __all__ = ["solve_lp_constant"]
 
@@ -286,68 +291,104 @@ def _lp_optimum(inst: Instance) -> tuple[tuple[Fraction, ...], Fraction]:
     return tuple(val for _, val in pins), value
 
 
-def _branch(prog, goal, extra, lo, hi, best, lam):
-    """Maximize -goal.x over integral parameters in the box [lo, hi].
+class _Master:
+    """The value and Hoffman rows on (lam, z) that F samples gave so far."""
 
-    ``hi[i]`` of None leaves lam_i capped by the program's own u_R row.
-    ``best`` is the objective at the integral incumbent ``lam``; only a
-    strictly better point replaces it.  The objective must be integral at
-    every integral parameter vector.  Returns the final (best, lam).
+    def __init__(self, ev: FEvaluator):
+        self.ev, self.k = ev, ev.inst.k
+        self.rows: list[tuple[tuple, Fraction]] = []
+        zero = (_ZERO,) * self.k
+        self.add(zero, ev.sample(zero))
+
+    def solve(self, goal, extra, lo, hi):
+        """Minimize goal over the rows, ``extra`` and the box [lo, hi]."""
+        k = self.k
+        box = []
+        for i in range(k):
+            unit = (0,) * i + (1,) + (0,) * (k - i)
+            box += ((unit, hi[i]), (tuple(-c for c in unit), -lo[i]))
+        rows = [*self.rows, *extra, *box]
+        return _simplex_min(goal, [row for row, _ in rows], [b for _, b in rows])
+
+    def reaches(self, x, need) -> bool:
+        """Whether F(x) >= need; if not, add the row that x's sample gives,
+        which every master point (x, z) with z >= need violates."""
+        s = self.ev.sample(x)
+        if s.feasible and s.value >= need:
+            return True
+        self.add(x, s)
+        return False
+
+    def add(self, x, s) -> None:
+        inst = self.ev.inst
+        if s.feasible:
+            cut, top, zc = s.report, s.value, 1
+        else:
+            t, g = inst.template, inst.graph
+            d, lowers, uppers, _ = t.scaled_bounds(x)
+            rep = deficiency_int(g.n, t.pairs, g.source, g.sink, lowers, uppers, d)
+            require(not rep.crosses_return, "return arc in a minimum auxiliary cut")
+            cut, zc = inst.cut_report(rep.aux_s_side), 0
+            top = cut.capacity_at(x)
+            require(top == -rep.deficiency, "Hoffman row misses the deficiency")
+        slopes = [cut.right_slope(i, xi) for i, xi in enumerate(x)]
+        row = (*(-c for c in slopes), zc)
+        rhs = top - sum(c * xi for c, xi in zip(slopes, x))
+        require((row, rhs) not in self.rows, "a master row came back")
+        self.rows.append((row, rhs))
+
+
+def _branch(master, goal, extra, lo, hi, best, lam):
+    """Maximize -goal.(lam, z) over integral lam in the box [lo, hi].
+
+    A master point (x, z) is settled once F(x) >= z.  A settled fractional
+    point splits, and the box of its nearest integral point goes first,
+    which finds good incumbents early.  ``best`` is the objective at the
+    integral incumbent ``lam``; only a strictly better point replaces it.
+    The objective must be integral at every integral parameter vector.
     """
-    m, k = prog.inst.m, prog.inst.k
+    k = master.k
     stack = [(lo, hi)]
     while stack:
         lo, hi = stack.pop()
-        box = []
-        for i in range(k):
-            row = [0] * prog.nvar
-            if lo[i]:
-                row[m + i] = -1
-                box.append((row, -lo[i]))
-            if hi[i] is not None:
-                row = [0] * prog.nvar
-                row[m + i] = 1
-                box.append((row, hi[i]))
-        xs = prog.solve(goal, extra=(*extra, *box))
+        xs = master.solve(goal, extra, lo, hi)
         if xs is None:
             continue
         bound = -sum(c * x for c, x in zip(goal, xs))
         if floor(bound) <= best:
             continue
-        split = next((i for i in range(k) if xs[m + i].denominator != 1), None)
+        if not master.reaches(xs[:k], xs[k]):
+            stack.append((lo, hi))
+            continue
+        split = next((i for i in range(k) if xs[i].denominator != 1), None)
         if split is None:
             require(bound.denominator == 1, "integral parameters give an integral bound")
-            best, lam = bound, tuple(xs[m:])
+            best, lam = bound, tuple(xs[:k])
             continue
-        x = xs[m + split]
+        x = xs[split]
         up, down = list(lo), list(hi)
         up[split], down[split] = ceil(x), floor(x)
         stack.append((up, hi))
         stack.append((lo, down))
+        y = [(2 * x + 1) // 2 for x in xs[:k]]
+        stack.append((y, y))
     return best, lam
 
 
-def _lp_int_optimum(
-    inst: Instance, lam: tuple[Fraction, ...], value: Fraction
-) -> tuple[tuple[Fraction, ...], Fraction]:
-    """Lexicographically smallest integral optimum and its value.
-
-    ``inst`` must have integral capacities and shifts; ``lam`` is any
-    integral parameter vector with flow value ``value``, which seeds the
-    search as its incumbent.
-    """
-    _check_affine(inst)
-    prog = _Program(inst)
-    m, k = inst.m, inst.k
-    goal = [-c for c in prog.value_row]
-    value, lam = _branch(prog, goal, (), [0] * k, [None] * k, value, lam)
+def _int_optimum(ev: FEvaluator) -> tuple[tuple[Fraction, ...], Fraction]:
+    """Lexicographically smallest integral optimum and its value, on an
+    instance with integral data; the all-zero vector is the first incumbent."""
+    k = ev.inst.k
+    master = _Master(ev)
+    lam = (_ZERO,) * k
+    lo, hi = [0] * k, [ev.inst.u_R(i) for i in range(k)]
+    goal = (0,) * k + (-1,)
+    value, lam = _branch(master, goal, (), lo, hi, ev.sample(lam).value, lam)
     value_pin = ((goal, -value),)
-    lo, hi = [0] * k, [None] * k
     for i in range(k):
-        obj = [0] * prog.nvar
-        obj[m + i] = 1
-        _, lam = _branch(prog, obj, value_pin, lo, hi, -lam[i], lam)
-        lo[i] = hi[i] = int(lam[i])
+        obj = (0,) * i + (1,) + (0,) * (k - i)
+        _, lam = _branch(master, obj, value_pin, lo, hi, -lam[i], lam)
+        lo[i] = hi[i] = lam[i]
     return lam, value
 
 

@@ -105,10 +105,10 @@ class TestSolve:
         monkeypatch.setattr(lp, "_lp_optimum", no_simplex)
         rc, out, err = run(capsys, "solve", path, "--integer", "--method", "parametric")
         assert (rc, out) == (4, "")
-        assert err == (
-            "error UnsupportedDeviation: nested search handles at most two "
-            "homologous sets; --method auto uses the simplex\n"
-        )
+        assert err == "error UnsupportedDeviation: integer solving takes no --method\n"
+        rc, out, err = run(capsys, "solve", path, "--integer")
+        assert (rc, err) == (0, "")
+        assert out == af.write_result(af.solve_integer_constant(inst))
 
     def test_deterministic_bytes(self, capsys, files):
         write, _ = files

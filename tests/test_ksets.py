@@ -4,9 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aemflow import instance
+import refint
+from aemflow import instance, ksets, lp
 from aemflow.errors import UnsupportedDeviation, ValidationError
-from aemflow.fileformat import parse_instance
+from aemflow.fileformat import parse_instance, write_result
+from aemflow.gadgets import (
+    generate_approx_gadget,
+    generate_x3c_gadget,
+    x3c_no_instance,
+    x3c_yes_instance,
+)
 from aemflow.graph import Graph
 from aemflow.instance import FEvaluator, make_instance
 from aemflow.ksets import solve_integer_constant, solve_k_constant
@@ -127,11 +134,16 @@ class TestSolveK:
         def no_sample(*args):
             raise AssertionError("nested search sampled F at k = 3")
 
+        both = (twin_gadgets(3), generate_random(5, 9, 3, cap_max=12, seed=831))
+        for inst in both:
+            res = solve_integer_constant(inst)
+            res.verify(inst)
+            assert res.opt_value == oracle_integer(inst)
+
         monkeypatch.setattr(instance, "_max_flow_at", no_sample)
-        for inst in (twin_gadgets(3), generate_random(5, 9, 3, cap_max=12, seed=831)):
-            for solve in (solve_k_constant, solve_integer_constant):
-                with pytest.raises(UnsupportedDeviation, match="at most two"):
-                    solve(inst, "parametric")
+        for inst in both:
+            with pytest.raises(UnsupportedDeviation, match="at most two"):
+                solve_k_constant(inst, "parametric")
 
     def test_rejects_affine_deviation(self):
         g = Graph()
@@ -223,8 +235,7 @@ class TestSolveInteger:
         assert res.opt_value == value
         res.verify(inst)
 
-    @pytest.mark.parametrize("method", ["auto", "parametric"])
-    def test_both_corners_below_the_integer_optimum(self, method):
+    def test_both_corners_below_the_integer_optimum(self):
         # The fractional optimum is (0, 1/2) at value 1.  Its corners (0, 0)
         # and (0, 1) both give 0; the integer optimum (1, 0) lies outside.
         text = "\n".join([
@@ -234,7 +245,7 @@ class TestSolveInteger:
             "h 0 const 0 0 1", "h 1 const 0 2 3",
         ])
         inst = parse_instance(text + "\n")
-        res = solve_integer_constant(inst, method)
+        res = solve_integer_constant(inst)
         res.verify(inst)
         assert res.lambda_star == (Q(1), Q(0))
         assert res.opt_value == 1
@@ -322,7 +333,7 @@ class TestAgainstGrid:
 
 
 class TestSharedEvaluator:
-    """The integer rounding reuses the fractional solve's F samples."""
+    """Integer branch-and-bound samples F at most once per point."""
 
     @staticmethod
     def _evaluated(monkeypatch, inst):
@@ -349,3 +360,111 @@ class TestSharedEvaluator:
         seen = self._evaluated(monkeypatch, inst)
         assert seen
         assert len(seen) == len(set(seen))
+
+
+def _gadget(kind, q, variant):
+    x3c = x3c_yes_instance(q) if variant == "yes" else x3c_no_instance(q)
+    if kind == "x3c":
+        return generate_x3c_gadget(x3c)
+    return generate_approx_gadget(x3c, int(kind[-1]))
+
+
+class TestAgainstLandDoig:
+    """Branch-and-bound on the master against Land–Doig on the flow program
+    (`refint`), byte for byte, at sizes `oracle_integer` cannot reach."""
+
+    @pytest.mark.parametrize("n", [40, 80])
+    def test_random(self, n):
+        for k in (2, 3, 4):
+            for c in (12, 10**6):
+                for seed in (0, 1):
+                    inst = generate_random(n, 2 * n, k, cap_max=c, seed=seed)
+                    want = write_result(refint.solve_integer(inst))
+                    assert write_result(solve_integer_constant(inst)) == want, (k, c, seed)
+
+    # The reference takes about 3 s on the approximation-chain yes gadgets
+    # at q = 6; their closed-form values are checked below instead.
+    @pytest.mark.parametrize(
+        "kind, q, variant",
+        [
+            (kind, q, variant)
+            for kind in ("x3c", "approx1", "approx2")
+            for q in (3, 6)
+            for variant in ("yes", "no")
+            if (kind, q, variant) not in {("approx1", 6, "yes"), ("approx2", 6, "yes")}
+        ],
+    )
+    def test_gadget(self, kind, q, variant):
+        inst, _ = _gadget(kind, q, variant)
+        want = write_result(refint.solve_integer(inst))
+        assert write_result(solve_integer_constant(inst)) == want
+
+    @pytest.mark.parametrize("kind", ["approx1", "approx2"])
+    def test_approx_yes_at_q6_hits_the_closed_form(self, kind):
+        inst, meta = _gadget(kind, 6, "yes")
+        res = solve_integer_constant(inst)
+        res.verify(inst)
+        assert res.opt_value == meta.expected_yes_value
+
+
+class TestEngineWork:
+    """The integer search's work on the gadgets, in F samples and master LP
+    solves.  Both are machine-independent, so a change to the rows, the
+    branching or the search order shows up here, not only as a change in
+    speed."""
+
+    @staticmethod
+    def _work(monkeypatch, inst):
+        """The result, F samples and master LP solves of one integer solve."""
+        evaluators, calls = [], []
+
+        class Recording(FEvaluator):
+            def __init__(self, inst):
+                super().__init__(inst)
+                evaluators.append(self)
+
+        inner = lp._simplex_min
+
+        def counting(c, A, b):
+            calls.append(len(A))
+            return inner(c, A, b)
+
+        monkeypatch.setattr(ksets, "FEvaluator", Recording)
+        monkeypatch.setattr(lp, "_simplex_min", counting)
+        res = solve_integer_constant(inst)
+        monkeypatch.undo()
+        res.verify(inst)
+        return res, [ev.evaluations for ev in evaluators], len(calls)
+
+    @pytest.mark.parametrize(
+        "kind, q, variant, samples, solves",
+        [
+            ("x3c", 3, "yes", 5, 6),
+            ("x3c", 3, "no", 1, 2),
+            ("approx1", 3, "no", 2, 4),
+            ("approx2", 3, "no", 2, 4),
+            ("x3c", 6, "yes", 7, 9),
+            ("x3c", 6, "no", 9, 13),
+            ("approx1", 6, "no", 13, 22),
+            ("approx2", 6, "no", 13, 22),
+        ],
+    )
+    def test_gadget_work(self, monkeypatch, kind, q, variant, samples, solves):
+        inst, meta = _gadget(kind, q, variant)
+        res, evaluations, lps = self._work(monkeypatch, inst)
+        assert (evaluations, lps) == ([samples], solves)
+        if variant == "yes":
+            assert res.opt_value == meta.expected_yes_value
+        else:
+            assert res.opt_value <= meta.expected_no_bound
+
+    def test_ridge_takes_a_few_samples(self, monkeypatch):
+        # The fractional optimum (154584, 0, 0, 309167/2) sits on a ridge
+        # whose down branches keep bounds above the all-zero incumbent.
+        # Depth-first order without the nearest-point box walked it one
+        # unit per node: about 460,000 F samples and three minutes.
+        inst = generate_random(9, 15, 4, cap_max=10**6, seed=9283)
+        res, evaluations, lps = self._work(monkeypatch, inst)
+        assert res.lambda_star == (Q(154584), Q(0), Q(0), Q(154584))
+        assert res.opt_value == solve_k_constant(inst).opt_value == 154584
+        assert (evaluations, lps) == ([6], 11)

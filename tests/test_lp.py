@@ -11,7 +11,7 @@ from aemflow.errors import InternalError, UnsupportedDeviation
 from aemflow.gadgets import generate_x3c_gadget, x3c_yes_instance
 from aemflow.graph import Graph
 from aemflow.instance import make_instance
-from aemflow.ksets import solve_integer_constant, solve_k_constant
+from aemflow.ksets import solve_k_constant
 from aemflow.lp import solve_lp_constant
 from aemflow.randgen import generate_random
 from aemflow.values import DeviationFn
@@ -186,7 +186,7 @@ class TestPivotPath:
     @pytest.mark.parametrize("q, count, value", [(3, 167, 7), (6, 530, 14)])
     def test_gadget_pivot_count(self, pivots, q, count, value):
         inst, meta = generate_x3c_gadget(x3c_yes_instance(q))
-        res = solve_integer_constant(inst)
+        res = solve_k_constant(inst)
         assert len(pivots) == count
         sequence = ";".join(f"{r},{c}" for r, c in pivots)
         assert hashlib.sha256(sequence.encode()).hexdigest() == self.digests[q]
