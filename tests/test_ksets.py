@@ -235,9 +235,11 @@ class TestSolveInteger:
         assert res.opt_value == value
         res.verify(inst)
 
-    def test_both_corners_below_the_integer_optimum(self):
-        # The fractional optimum is (0, 1/2) at value 1.  Its corners (0, 0)
-        # and (0, 1) both give 0; the integer optimum (1, 0) lies outside.
+    @pytest.mark.parametrize("method", ["auto", "parametric"])
+    def test_both_corners_below_the_integer_optimum(self, method):
+        # The fractional optimum, by either fractional method, is (0, 1/2)
+        # at value 1.  Its corner (0, 0) gives 0 and (0, 1) is infeasible;
+        # the integer optimum (1, 0) lies outside.
         text = "\n".join([
             "p aemfp 4 6 2", "n 0 s", "n 1 t",
             "a 0 0 1 1", "a 1 1 2 1", "a 2 3 2 1", "a 3 0 2 1",
@@ -245,6 +247,12 @@ class TestSolveInteger:
             "h 0 const 0 0 1", "h 1 const 0 2 3",
         ])
         inst = parse_instance(text + "\n")
+        frac = solve_k_constant(inst, method)
+        assert frac.lambda_star == (Q(0), Q(1, 2))
+        assert frac.opt_value == 1
+        ev = FEvaluator(inst)
+        assert ev.sample((Q(0), Q(0))).value == 0
+        assert not ev.sample((Q(0), Q(1))).feasible
         res = solve_integer_constant(inst)
         res.verify(inst)
         assert res.lambda_star == (Q(1), Q(0))
