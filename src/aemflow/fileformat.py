@@ -43,6 +43,8 @@ _RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?\Z")
 
 
 def _rational(tok: str, ln: int, what: str) -> Fraction:
+    if tok.isascii() and tok.isdigit():
+        return Fraction(int(tok))
     if not _RATIONAL.match(tok):
         raise ParseError(f"{what} {tok!r} is not an integer or p/q", line=ln)
     return Fraction(tok)

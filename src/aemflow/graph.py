@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import ValidationError
@@ -142,22 +143,31 @@ class FlowAssignment:
     def violations(
         self, graph: Graph, capacities: Sequence[Fraction]
     ) -> Iterator[str]:
-        """Every capacity violation by edge id, then every conservation one."""
+        """Every capacity violation by edge id, then every conservation one.
+
+        Raises ValidationError when there is not one value per edge.  Net
+        outflows are summed in one pass, on integers: every flow times the
+        lcm of their denominators.
+        """
+        if len(self.values) != graph.m:
+            raise ValidationError("flow has wrong number of edges")
         for e, f in enumerate(self.values):
             if f < 0:
                 yield f"violation capacity edge {e} flow {f} below 0"
             elif f > capacities[e]:
                 yield f"violation capacity edge {e} flow {f} above {capacities[e]}"
-        for v in range(graph.n):
-            if v not in (graph.source, graph.sink):
-                net = graph.net_outflow(self.values, v)
-                if net != 0:
-                    yield f"violation conservation node {v} net {net}"
+        den = lcm(*(f.denominator for f in self.values))
+        net = [0] * graph.n
+        for e, f in zip(graph.edges, self.values):
+            x = f.numerator * (den // f.denominator)
+            net[e.tail] += x
+            net[e.head] -= x
+        for v, out in enumerate(net):
+            if out and v not in (graph.source, graph.sink):
+                yield f"violation conservation node {v} net {Fraction(out, den)}"
 
     def validate(self, graph: Graph, capacities: Sequence[Fraction]) -> None:
         """Raise ValidationError on the first conservation or bound violation."""
-        if len(self.values) != graph.m:
-            raise ValidationError("flow has wrong number of edges")
         for problem in self.violations(graph, capacities):
             raise ValidationError(problem)
         net_s = graph.net_outflow(self.values, graph.source)

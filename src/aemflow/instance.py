@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .cuts import CutReport, SetCrossing
 from .errors import Infeasible, ValidationError, require
 from .graph import FlowAssignment, Graph
-from .maxflow import bounded_max_flow_int
+from .maxflow import DeficiencyReport, Network, bounded_max_flow_int
 from .values import DeviationFn
 
 __all__ = [
@@ -201,16 +201,18 @@ class Instance:
 class ArcTemplate:
     """What F needs of an instance that lam does not move, on integers.
 
-    `caps` are the capacities times their lcm denominator `den`.  `cuts`
-    memoises priced cuts by s side: plain edges never have a lower bound.
+    `net` is the compiled flow network.  `caps` are the capacities times
+    their lcm denominator `den`.  `cuts` memoises priced cuts by s side:
+    plain edges never have a lower bound.
     """
 
-    __slots__ = ("pairs", "den", "caps", "sets", "u_R", "cuts")
+    __slots__ = ("net", "den", "caps", "sets", "u_R", "cuts")
 
     def __init__(self, inst: Instance):
-        self.pairs = [(e.tail, e.head) for e in inst.graph.edges]
+        g = inst.graph
+        self.net = Network(g.n, [(e.tail, e.head) for e in g.edges], g.source, g.sink)
         self.den = lcm(*(c.denominator for c in inst.capacities))
-        self.caps = [int(c * self.den) for c in inst.capacities]
+        self.caps = [c.numerator * (self.den // c.denominator) for c in inst.capacities]
         self.sets = [(hs.edges, hs.deviation) for hs in inst.sets]
         self.u_R = tuple(min(inst.capacities[e] for e in hs.edges) for hs in inst.sets)
         self.cuts: dict[frozenset[int], CutReport] = {}
@@ -250,7 +252,7 @@ def make_instance(
     Conservation forces all segments to carry equal flow, so the original
     constraints survive unchanged.  Unshared edges keep their identity.
     """
-    caps = [Fraction(c) for c in capacities]
+    caps = [c if type(c) is Fraction else Fraction(c) for c in capacities]
     if len(caps) != graph.m:
         raise ValidationError("capacity list does not match edge count")
     owners: dict[int, list[int]] = {}
@@ -287,30 +289,33 @@ def _max_flow_at(
 ) -> tuple[Fraction, tuple[int, ...], int, CutReport]:
     """Value, edge flows in units of 1/d, d and min-cut certificate at `lam`.
 
-    `lam` must be checked.  Raises Infeasible when the implied lower bounds
-    admit no flow.  The certificate is re-priced through the cut formula,
+    `lam` must be checked.  Raises Infeasible, with the failed circulation's
+    `DeficiencyReport` as context, when the implied lower bounds admit no
+    flow.  The certificate is re-priced through the cut formula,
     on the integers at scale d, and must reproduce the flow value exactly;
     a mismatch would mean corrupted bookkeeping, so it is checked here
     rather than left to callers.
     """
-    t, g = inst.template, inst.graph
+    t = inst.template
     d, lowers, uppers, levels = t.scaled_bounds(lam)
-    value, flows, s_side = bounded_max_flow_int(
-        g.n, t.pairs, g.source, g.sink, lowers, uppers, d
-    )
+    value, flows, s_side = bounded_max_flow_int(t.net, lowers, uppers, d)
     report = inst.cut_report(s_side)
     require(report.scaled_capacity(d, levels) == value, "cut certificate mismatch")
     return Fraction(value, d), tuple(flows), d, report
 
 
 class FSample(NamedTuple):
-    """One F evaluation; `flows` are the core's edge flows in units of 1/scale."""
+    """One F evaluation; `flows` are the core's edge flows in units of 1/scale.
+
+    An infeasible sample keeps its failed circulation's `deficiency`.
+    """
 
     feasible: bool
     value: Fraction | None
     report: CutReport | None
     flows: tuple[int, ...] | None
     scale: int | None
+    deficiency: DeficiencyReport | None = None
 
 
 class FEvaluator:
@@ -332,8 +337,8 @@ class FEvaluator:
         self.evaluations += 1
         try:
             value, flows, d, report = _max_flow_at(self.inst, key)
-        except Infeasible:
-            out = FSample(False, None, None, None, None)
+        except Infeasible as exc:
+            out = FSample(False, None, None, None, None, exc.context)
         else:
             out = FSample(True, value, report, flows, d)
         self._cache[key] = out

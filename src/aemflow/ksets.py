@@ -173,17 +173,21 @@ def solve_integer_constant(inst: Instance) -> SolveResult:
 
     An integral flow meets a capacity c, or a shift c over an integral set
     minimum, exactly when it meets floor(c), so the solve runs with both
-    floored and its flows stay valid for `inst`.
+    floored and its flows stay valid for `inst`.  With integral data the
+    floored instance is `inst` itself.
     """
     _require_shifts(inst)
-    caps = tuple(Fraction(floor(c)) for c in inst.capacities)
-    sets = tuple(
-        HomologousSet(hs.edges, DeviationFn.constant_shift(floor(hs.deviation.shift_amount())))
-        for hs in inst.sets
-    )
+    shifts = [hs.deviation.shift_amount() for hs in inst.sets]
+    if any(c.denominator != 1 for c in (*inst.capacities, *shifts)):
+        caps = tuple(Fraction(floor(c)) for c in inst.capacities)
+        sets = tuple(
+            HomologousSet(hs.edges, DeviationFn.constant_shift(floor(c)))
+            for hs, c in zip(inst.sets, shifts)
+        )
+        inst = Instance(inst.graph, caps, sets)
     from .lp import _int_optimum
 
-    ev = FEvaluator(Instance(inst.graph, caps, sets))
+    ev = FEvaluator(inst)
     lam, value = _int_optimum(ev)
     out = ev.result(lam)
     require(out.opt_value == value, "the optimum's flow disagrees with its value")

@@ -57,7 +57,6 @@ from math import ceil, floor
 
 from .errors import UnsupportedDeviation, require
 from .instance import FEvaluator, Instance, SolveResult
-from .maxflow import deficiency_int
 
 __all__ = ["solve_lp_constant"]
 
@@ -140,13 +139,14 @@ def _optimize(tab, basis, cost, ncols):
 def _simplex_min(c, A, b):
     """Minimize c.x over A x <= b, x >= 0; None when infeasible."""
     m, n = len(A), len(c)
+    b = [_exact(v) for v in b]
     nart = sum(1 for v in b if v < 0)
     base = n + m
     tab, basis, art = [], [], 0
     for i in range(m):
         row = [v if type(v) is int else _exact(v) for v in A[i]]
         row += [0] * (m + nart)
-        row.append(_exact(b[i]))
+        row.append(b[i])
         row[n + i] = 1
         if b[i] < 0:
             row = [-v for v in row]
@@ -324,9 +324,7 @@ class _Master:
         if s.feasible:
             cut, top, zc = s.report, s.value, 1
         else:
-            t, g = inst.template, inst.graph
-            d, lowers, uppers, _ = t.scaled_bounds(x)
-            rep = deficiency_int(g.n, t.pairs, g.source, g.sink, lowers, uppers, d)
+            rep = s.deficiency
             require(not rep.crosses_return, "return arc in a minimum auxiliary cut")
             cut, zc = inst.cut_report(rep.aux_s_side), 0
             top = cut.capacity_at(x)
@@ -354,7 +352,7 @@ def _branch(master, goal, extra, lo, hi, best, lam):
         xs = master.solve(goal, extra, lo, hi)
         if xs is None:
             continue
-        bound = -sum(c * x for c, x in zip(goal, xs))
+        bound = -sum(c * x for c, x in zip(goal, xs) if c)
         if floor(bound) <= best:
             continue
         if not master.reaches(xs[:k], xs[k]):

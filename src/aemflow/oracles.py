@@ -40,7 +40,7 @@ from math import floor, gcd, lcm, prod
 
 from .errors import BudgetExceeded, ValidationError, require
 from .instance import FEvaluator, Instance
-from .maxflow import _aux_net, _Net
+from .maxflow import Network, _max_flow
 from .values import DeviationFn, simplest_rational_in
 
 __all__ = [
@@ -52,28 +52,17 @@ __all__ = [
 DEFAULT_BUDGET = 10**6
 
 
-def _int_value(n, pairs, s, t, lowers, uppers):
+def _int_value(net, lowers, uppers):
     """(max s-t flow value, s side of a min cut) for integer bounds.
 
     When the bounds are infeasible the value is None and the side is the
     super-source side of the circulation's min cut, a set whose in-arcs'
     lower bounds exceed its out-arcs' upper bounds.
     """
-    if not any(lowers):
-        net = _Net(n)
-        for (u, v), c in zip(pairs, uppers):
-            net.add(u, v, c)
-        return net.max_flow(s, t), net.reachable(s)
-    net, _, helpers, ts, required, sigma, tau = _aux_net(
-        n, pairs, s, t, lowers, uppers
-    )
-    if net.max_flow(sigma, tau) < required:
-        return None, net.reachable(sigma).intersection(range(n))
-    carried = net.cap[ts ^ 1]
-    for a in helpers:
-        net.disable(a)
-    value = carried + net.max_flow(s, t)
-    return value, net.reachable(s).intersection(range(n))
+    res, value, _ = _max_flow(net, lowers, uppers)
+    if value is None:
+        return None, res.reachable(net.n) & net.nodes
+    return value, res.reachable(net.s) & net.nodes
 
 
 def _over_budget(budget: int, count: int | None = None) -> BudgetExceeded:
@@ -113,7 +102,8 @@ def _best_over(
     caps = [c.numerator * scale // c.denominator for c in inst.capacities]
     g = inst.graph
     pairs = [(e.tail, e.head) for e in g.edges]
-    n, s, t = g.n, g.source, g.sink
+    s, t = g.source, g.sink
+    net = Network(g.n, pairs, s, t)
     members = [hs.edges for hs in inst.sets]
     owner = [-1] * inst.m
     for i, edges in enumerate(members):
@@ -159,7 +149,7 @@ def _best_over(
     ceiling_uppers = [
         c if i < 0 else min(c, max(tops[i])) for c, i in zip(caps, owner)
     ]
-    ceiling, _ = _int_value(n, pairs, s, t, [0] * inst.m, ceiling_uppers)
+    ceiling, _ = _int_value(net, [0] * inst.m, ceiling_uppers)
     if not members:
         return ceiling  # the one candidate, with no bounds to drop
 
@@ -188,7 +178,7 @@ def _best_over(
             if hlow[j] < 0 or vlow[j] <= best:
                 continue
             lowers, uppers = bounds((*prefix, j))
-            v, side = _int_value(n, pairs, s, t, lowers, uppers)
+            v, side = _int_value(net, lowers, uppers)
             if (v is None, side) not in seen:
                 seen.add((v is None, side))
                 cut, slack = presum(side, lowers, uppers)

@@ -145,9 +145,9 @@ class Slice:
         """(report, d, levels): the deficiency at x and its set levels times d."""
         hit = self._def_cache.get(x)
         if hit is None:
-            inst, t, g = self.inst, self.inst.template, self.inst.graph
+            inst, t = self.inst, self.inst.template
             d, lowers, uppers, levels = t.scaled_bounds(inst.check_lambda(self.full_lambda(x)))
-            rep = deficiency_int(g.n, t.pairs, g.source, g.sink, lowers, uppers, d)
+            rep = deficiency_int(t.net, lowers, uppers, d)
             hit = self._def_cache[x] = (rep, d, levels)
         return hit
 

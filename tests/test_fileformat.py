@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import aemflow as af
 from aemflow.errors import ParseError, ValidationError
 from aemflow.fileformat import (
+    _rational,
     parse_flow,
     parse_instance,
     write_instance,
@@ -128,6 +129,34 @@ class TestParseErrors:
     def test_self_loop_is_validation_error(self):
         with pytest.raises(ValidationError):
             parse_instance("p aemfp 2 1 0\nn 0 s\nn 1 t\na 0 1 1 3\n")
+
+
+class TestRationalTokens:
+    """Plain ASCII digit tokens skip the regex; every token still reads, or
+    fails, as the grammar says."""
+
+    @pytest.mark.parametrize(
+        "tok, want",
+        [
+            ("0", 0),
+            ("007", 7),
+            ("-0", 0),
+            ("-5", -5),
+            ("3/6", Q(1, 2)),
+            ("12345678901234567890", 12345678901234567890),
+        ],
+    )
+    def test_accepted(self, tok, want):
+        got = _rational(tok, 4, "capacity")
+        assert type(got) is Q and got == want
+
+    @pytest.mark.parametrize(
+        "tok", ["+5", "1_000", "\u00b2", "\u0661", "5/05", "5/0", "5.0", "0x5", ""]
+    )
+    def test_rejected(self, tok):
+        with pytest.raises(ParseError) as exc:
+            _rational(tok, 4, "capacity")
+        assert str(exc.value) == f"line 4: capacity {tok!r} is not an integer or p/q"
 
 
 class TestRoundTrip:

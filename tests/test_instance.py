@@ -13,6 +13,7 @@ from aemflow.instance import (
     Instance,
     make_instance,
 )
+from aemflow.maxflow import Network
 from aemflow.oracles import _int_value
 from aemflow.parametric import Slice
 from aemflow.values import DeviationFn
@@ -285,6 +286,15 @@ class TestCheckFlow:
             "violation conservation node 1 net 1/2",
         ]
 
+    @pytest.mark.parametrize("values", [(Q(1), Q(1)), (Q(1),) * 4])
+    def test_wrong_edge_count_raises(self, values):
+        # Missing edges must not count as zero flow, nor extra ones be dropped.
+        flow = FlowAssignment(values, Q(1))
+        with pytest.raises(ValidationError, match="flow has wrong number of edges"):
+            list(bottleneck().violations(flow))
+        with pytest.raises(ValidationError, match="flow has wrong number of edges"):
+            bottleneck().check_flow(flow)
+
 
 def _mixed_instance(seed):
     """Fractional capacities, sets sharing edges, one deviation of each kind.
@@ -364,7 +374,8 @@ class TestCompiledEvaluator:
                 except Infeasible:
                     ref = None
                 pairs, d, lowers, uppers = scaled(arcs)
-                iv, iside = _int_value(g.n, pairs, g.source, g.sink, lowers, uppers)
+                net = Network(g.n, pairs, g.source, g.sink)
+                iv, iside = _int_value(net, lowers, uppers)
                 s = FEvaluator(inst).sample(lam)
                 assert s.feasible == (ref is not None) == (rdef.deficiency == 0)
                 assert s.feasible == (iv is not None)
@@ -378,12 +389,31 @@ class TestCompiledEvaluator:
                     assert s.report == twin.cut_report(side)
                 else:
                     assert iside == rdef.aux_s_side
+                    assert s.deficiency == rdef
                 fixed = {i: x for i, x in enumerate(lam) if i != free}
                 rep = Slice(inst, free, fixed)._deficiency(lam[free])[0]
                 assert rep == rdef
         assert feasible == {True, False}
         assert subdivided == {True, False}
         assert kinds == {"shift", "affine", "poly"}
+
+    def test_no_capacity_state_leaks_between_samples(self):
+        # The instance compiles one flow network; every sample fills its
+        # own capacities.  Sampling x, then y, then x again on one evaluator
+        # (memo cleared) must give the first x sample back, whatever y was.
+        feasible = set()
+        for seed in range(10):
+            inst, _ = _mixed_instance(seed)
+            grid = _grid(inst)
+            x = grid[len(grid) // 2]
+            for y in (y for y in grid if y != x):
+                ev = FEvaluator(inst)
+                first = ev.sample(x)
+                feasible.add(ev.sample(y).feasible)
+                ev._cache.clear()
+                assert ev.sample(x) == first
+                assert ev.evaluations == 3
+        assert feasible == {True, False}
 
     def test_tampered_cut_is_caught_on_the_next_sample(self):
         inst = bottleneck()

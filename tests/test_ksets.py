@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import refint
 from aemflow import instance, ksets, lp
 from aemflow.errors import UnsupportedDeviation, ValidationError
-from aemflow.fileformat import parse_instance, write_result
+from aemflow.fileformat import parse_instance, write_instance, write_result
 from aemflow.gadgets import (
     generate_approx_gadget,
     generate_x3c_gadget,
@@ -375,6 +375,43 @@ def _gadget(kind, q, variant):
     if kind == "x3c":
         return generate_x3c_gadget(x3c)
     return generate_approx_gadget(x3c, int(kind[-1]))
+
+
+class TestFlooredCopy:
+    """Integer mode floors a copy of the instance only when a capacity or
+    shift is fractional; either way it answers like Land–Doig (`refint`)."""
+
+    @staticmethod
+    def _variants():
+        base = generate_random(8, 14, 2, cap_max=12, seed=3)
+        caps = list(base.capacities)
+        sets = [(hs.edges, hs.deviation) for hs in base.sets]
+        frac_cap = [c + Q(2, 3) for c in caps]
+        frac_shift = [(e, shift(dev.shift_amount() + Q(1, 2))) for e, dev in sets]
+        return {
+            "integral": (base, 1),
+            "capacity": (make_instance(base.graph, frac_cap, sets), 2),
+            "shift": (make_instance(base.graph, caps, frac_shift), 2),
+        }
+
+    @pytest.mark.parametrize("label", ["integral", "capacity", "shift"])
+    def test_instances_built(self, monkeypatch, label):
+        inst, want = self._variants()[label]
+        text = write_instance(inst)
+        built = []
+        init = instance.Instance.__init__
+
+        def counting(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(instance.Instance, "__init__", counting)
+        parsed = parse_instance(text)
+        res = solve_integer_constant(parsed)
+        monkeypatch.undo()
+        assert len(built) == want
+        res.verify(parsed)
+        assert write_result(res) == write_result(refint.solve_integer(parsed))
 
 
 class TestAgainstLandDoig:

@@ -3,9 +3,12 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import random
+
 from aemflow.errors import Infeasible, ValidationError
 from aemflow.graph import FlowAssignment, Graph
-from intflow import bounded_flow, deficiency
+from aemflow.maxflow import DeficiencyReport, Network, bounded_max_flow_int, deficiency_int
+from intflow import bounded_flow, deficiency, ref_bounded_flow, ref_deficiency, scaled
 
 
 def build(n_nodes, edge_list, s=0, t=1):
@@ -258,8 +261,129 @@ class TestFlowProperties:
         assert value.denominator == 1
         assert all(f.denominator == 1 for f in flows)
 
+    @given(random_network(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_violations_match_the_check_on_fractions(self, net, data):
+        # `violations` sums net outflows on integers; the same check on
+        # Fractions must report the same lines.
+        n, arcs = net
+        g = build(n, [(u, v) for u, v, _ in arcs])
+        caps = [c for _, _, c in arcs]
+        values = tuple(
+            data.draw(st.sampled_from([c, c + Q(1, 6), c - Q(1, 3), -c, Q(1, 2)]))
+            for c in caps
+        )
+        want = []
+        for e, f in enumerate(values):
+            if f < 0:
+                want.append(f"violation capacity edge {e} flow {f} below 0")
+            elif f > caps[e]:
+                want.append(f"violation capacity edge {e} flow {f} above {caps[e]}")
+        for v in range(2, n):
+            net_v = g.net_outflow(values, v)
+            if net_v != 0:
+                want.append(f"violation conservation node {v} net {net_v}")
+        assert list(FlowAssignment(values, Q(0)).violations(g, caps)) == want
+
     @given(random_network())
     @settings(max_examples=30, deadline=None)
     def test_deterministic(self, net):
         n, arcs = net
         assert max_flow(n, arcs) == max_flow(n, arcs)
+
+
+def _compiled(net, arcs):
+    """Flow or Infeasible, and deficiency, of rational arcs on a compiled net."""
+    _, d, lowers, uppers = scaled(arcs)
+    rep = deficiency_int(net, lowers, uppers, d)
+    try:
+        value, flows, side = bounded_max_flow_int(net, lowers, uppers, d)
+    except Infeasible as exc:
+        return exc.context, rep
+    return (Q(value, d), tuple(Q(f, d) for f in flows), side), rep
+
+
+def _reference(n, arcs, s, t):
+    rep = ref_deficiency(n, arcs, s, t)
+    try:
+        return ref_bounded_flow(n, arcs, s, t), rep
+    except Infeasible:
+        return rep, rep
+
+
+@st.composite
+def bound_draws(draw):
+    """An arc list with parallel arcs, then several bound vectors for it."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    s, t = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    m = draw(st.integers(min_value=1, max_value=10))
+    pairs = []
+    for _ in range(m):
+        u = draw(st.integers(min_value=0, max_value=n - 1))
+        v = draw(st.integers(min_value=0, max_value=n - 1))
+        pairs.append((u, v if u != v else (v + 1) % n))
+    rounds = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        arcs = []
+        for u, v in pairs:
+            up = draw(st.fractions(min_value=0, max_value=6, max_denominator=3))
+            lo = draw(st.sampled_from([Q(0), up, up / 2, min(up, Q(1))]))
+            arcs.append((u, v, lo, up))
+        rounds.append(arcs)
+    return n, s, t, pairs, rounds
+
+
+class TestCompiledNetwork:
+    """One `Network` per arc list, reused across bounds, against a network
+    built per call (`intflow.ref_bounded_flow`, `intflow.ref_deficiency`):
+    equal value, flows, cut side, deficiency, aux side and crosses_return,
+    and the same Infeasible."""
+
+    @given(bound_draws())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_call_build(self, draw):
+        n, s, t, pairs, rounds = draw
+        net = Network(n, pairs, s, t)
+        for arcs in rounds:
+            assert _compiled(net, arcs) == _reference(n, arcs, s, t)
+
+    def test_matches_on_seeded_draws(self):
+        rng = random.Random(2024)
+        seen = set()
+        for _ in range(300):
+            n = rng.randint(2, 7)
+            s, t = rng.sample(range(n), 2)
+            pairs = []
+            for _ in range(rng.randint(1, 12)):
+                u, v = rng.sample(range(n), 2)
+                pairs.append((u, v))
+            net = Network(n, pairs, s, t)
+            for _ in range(3):
+                arcs = []
+                for u, v in pairs:
+                    up = Q(rng.choice([0, 0, 1, 2, 3, 5]), rng.choice([1, 1, 2]))
+                    lo = rng.choice([Q(0), Q(0), up, up / 3])
+                    arcs.append((u, v, lo, up))
+                got = _compiled(net, arcs)
+                assert got == _reference(n, arcs, s, t)
+                seen.add(("infeasible", isinstance(got[0], DeficiencyReport)))
+                seen.add(("lowers", any(a[2] for a in arcs)))
+                seen.add(("zero capacity", any(a[3] == 0 for a in arcs)))
+            seen.add(("parallel", len(set(pairs)) < len(pairs)))
+        assert seen == {(key, flag) for key, _ in seen for flag in (True, False)}
+
+    @pytest.mark.parametrize(
+        "arcs",
+        [
+            [(0, 2, Q(7), Q(5)), (2, 1, Q(-1), Q(5))],
+            [(0, 2, Q(-1), Q(5)), (2, 1, Q(7), Q(5))],
+            [(0, 2, Q(0), Q(5)), (2, 1, Q(-2), Q(-3))],
+        ],
+    )
+    def test_bad_bounds_raise_the_same_error(self, arcs):
+        net = Network(3, [(u, v) for u, v, _, _ in arcs], 0, 1)
+        with pytest.raises(ValidationError) as want:
+            ref_bounded_flow(3, arcs)
+        with pytest.raises(ValidationError) as got:
+            _compiled(net, arcs)
+        assert str(got.value) == str(want.value)

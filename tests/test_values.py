@@ -423,6 +423,27 @@ class TestDeviationFn:
         with pytest.raises(ValueError):
             d.validate_on(Q(0), Q(10))
 
+    @pytest.mark.parametrize(
+        "coeffs, error",
+        [
+            ((Q(0), 1), None),
+            ((Q(5, 3), 1), None),
+            ((Q(-1, 2), 1), "deviation below identity at x=0"),
+            ((Q(-1, 2), 1, 0), "deviation below identity at x=0"),
+        ],
+    )
+    def test_validate_shifts(self, coeffs, error):
+        # Shifts x + c with c >= 0 pass; a negative c fails at the left end.
+        d = DeviationFn.polynomial(coeffs)
+        assert d.is_constant_shift
+        if error is None:
+            d.validate_on(Q(0), Q(10))
+        else:
+            with pytest.raises(ValueError, match=error):
+                d.validate_on(Q(0), Q(10))
+        with pytest.raises(ValueError, match="empty domain"):
+            d.validate_on(Q(2), Q(1))
+
     @given(st.fractions(min_value=0, max_value=20, max_denominator=8))
     def test_shift_dominates_identity(self, x):
         d = DeviationFn.constant_shift(Q(5, 3))
