@@ -1,6 +1,7 @@
 """Plain-text instance files, one record per line.
 
-Grammar (DIMACS style; `c` lines and blank lines are ignored):
+Grammar (DIMACS style; blank lines and lines whose first token is `c` are
+ignored):
 
     p aemfp <n> <m> <k>
     n <id> s
@@ -108,10 +109,9 @@ def parse_instance(text: str) -> Instance:
     arcs: dict[int, tuple[int, int, Fraction]] = {}
     sets: dict[int, tuple[DeviationFn, list[int]]] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line == "c" or line.startswith("c "):
+        toks = raw.split()
+        if not toks or toks[0] == "c":
             continue
-        toks = line.split()
         rec = toks[0]
         if rec == "p":
             if header is not None:
@@ -186,7 +186,7 @@ def parse_instance(text: str) -> Instance:
     caps = []
     for eid in range(m):
         tail, head, cap = arcs[eid]
-        g.add_edge(tail, head)
+        g._link(tail, head)  # both ends range-checked with their record
         caps.append(cap)
     return make_instance(
         g, caps, [(sets[i][1], sets[i][0]) for i in range(k)]
@@ -227,11 +227,8 @@ def parse_flow(text: str, m: int) -> tuple[Fraction, ...]:
     """
     values: dict[int, Fraction] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c ") or line == "c":
-            continue
-        toks = line.split()
-        if toks[0] not in ("f", "flow"):
+        toks = raw.split()
+        if not toks or toks[0] not in ("f", "flow"):
             continue
         if len(toks) != 3:
             raise ParseError("flow record must be `flow <edge> <value>`", line=ln)

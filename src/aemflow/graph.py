@@ -70,8 +70,10 @@ class Graph:
         return self._names[idx]
 
     def add_edge(self, tail: int | str, head: int | str) -> int:
-        u = self.node_id(tail)
-        v = self.node_id(head)
+        return self._link(self.node_id(tail), self.node_id(head))
+
+    def _link(self, u: int, v: int) -> int:
+        """Add the edge u -> v between node ids already known to be in range."""
         if u == v:
             raise ValidationError(f"self-loop at node {self._names[u]!r} rejected")
         eid = len(self.edges)

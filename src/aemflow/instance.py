@@ -93,8 +93,10 @@ class Instance:
         self.graph.validate()
         if len(self.capacities) != self.m:
             raise ValidationError("capacity list does not match edge count")
+        # The sign of a Fraction is its numerator's; reading it directly
+        # skips Fraction's comparison, a measurable part of a parse.
         for e, u in enumerate(self.capacities):
-            if u < 0:
+            if u.numerator < 0:
                 raise ValidationError(f"edge {e}: negative capacity {u}")
         seen: set[int] = set()
         for i, hs in enumerate(self.sets):

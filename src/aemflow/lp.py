@@ -44,10 +44,17 @@ wherever lam is feasible (Hoffman 1960), so the Hoffman row
 0 <= g_T(x) + sum_i s_i (lam_i - x_i) cuts x off.  A node's master point
 is sampled until F meets it (Kelley 1960), then branched on as in Land
 and Doig (1960): first for the value, then for each lam_i in turn with
-z >= value and the earlier ones pinned.  No iteration cap is needed: a
-sample below the master point adds a row that the point violates, so a
-new one; rows are fixed by a cut and its members' clamp states, so they
-are finitely many, and a repeated one raises `InternalError`.
+z >= value and the earlier ones pinned.  Those later passes have no z
+term, so the box alone bounds their objective at its best corner; a box
+whose corner bound, floored, does not beat the incumbent is dropped
+before its master LP.  The LP's optimum over the box is at most the
+corner bound, so the LP would have pruned that box too (or found it
+empty), and the LP samples nothing: the F samples, the search order and
+the answer are the same, with fewer LP solves.  No iteration cap is
+needed: a sample below the master point adds a row that the point
+violates, so a new one; rows are fixed by a cut and its members' clamp
+states, so they are finitely many, and a repeated one raises
+`InternalError`.
 """
 
 from __future__ import annotations
@@ -344,11 +351,20 @@ def _branch(master, goal, extra, lo, hi, best, lam):
     which finds good incumbents early.  ``best`` is the objective at the
     integral incumbent ``lam``; only a strictly better point replaces it.
     The objective must be integral at every integral parameter vector.
+    A goal with no z term is bounded by the box alone, at the corner that
+    takes lo_i where goal_i > 0 and hi_i where goal_i < 0; a box whose
+    floored corner bound is at most ``best`` is dropped without an LP,
+    which could only have confirmed the prune.
     """
     k = master.k
+    boxed = not goal[k]
     stack = [(lo, hi)]
     while stack:
         lo, hi = stack.pop()
+        if boxed:
+            corner = -sum(c * (lo[i] if c > 0 else hi[i]) for i, c in enumerate(goal) if c)
+            if floor(corner) <= best:
+                continue
         xs = master.solve(goal, extra, lo, hi)
         if xs is None:
             continue

@@ -467,14 +467,24 @@ class DeviationFn:
     def validate_on(self, lo: Fraction, hi: Fraction) -> None:
         """Check Delta monotone nondecreasing and Delta(x) >= x on [lo, hi].
 
-        Raises ValueError when either fails.  For degree <= 2 both checks
-        are exact endpoint/vertex tests; higher degrees are checked at the
-        endpoints and at every interior root of the relevant derivative.
+        Raises ValueError when either fails.  A degree <= 1 shape is a line,
+        so its slope and its values at lo and hi settle both checks; they
+        are read from the (slope, intercept) pair that ``__call__`` uses.
+        Higher degrees are checked at the endpoints and at every interior
+        root of the relevant derivative, which for degree 2 is the vertex.
         """
         lo = _as_fraction(lo)
         hi = _as_fraction(hi)
         if hi < lo:
             raise ValueError("empty domain")
+        if self._line is not None:
+            slope = self._line[0]
+            if slope is not None and slope < 0:
+                raise ValueError(f"deviation not monotone at x={lo}")
+            for x in (lo, hi):
+                if self(x) < x:
+                    raise ValueError(f"deviation below identity at x={x}")
+            return
         deriv = self._deriv
         for x in self._extreme_points(deriv, lo, hi):
             if deriv.eval(x) < 0:

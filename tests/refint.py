@@ -10,6 +10,11 @@ value is maximized first, then each parameter in turn is minimized with
 the value and the earlier parameters pinned, from the all-zero vector as
 the first incumbent.  It shares only `lp._Program`, the simplex kernel and
 the F evaluator with the solver it checks.
+
+`master_int_optimum` is the search on the cutting-plane master as it
+stood before boxes were pruned by their corner bound: every box gets its
+master LP.  It logs each box it solves, so tests can check that the
+pruned search drops only boxes this LP would have pruned.
 """
 
 from fractions import Fraction
@@ -17,7 +22,7 @@ from math import ceil, floor
 
 from aemflow.errors import require
 from aemflow.instance import FEvaluator, HomologousSet, Instance, SolveResult
-from aemflow.lp import _Program
+from aemflow.lp import _Master, _Program
 from aemflow.values import DeviationFn
 
 
@@ -94,3 +99,57 @@ def solve_integer(inst: Instance) -> SolveResult:
     out = ev.result(lam)
     require(out.opt_value == value, "the optimum's flow disagrees with its value")
     return out
+
+
+def _master_branch(master, goal, extra, lo, hi, best, lam, boxes):
+    """`lp._branch` without the corner-bound prune.
+
+    Appends ``(goal, lo, hi, best, pruned)`` to ``boxes`` for every master
+    LP it solves; ``pruned`` says the LP found the box empty or its bound
+    did not beat ``best``.
+    """
+    k = master.k
+    stack = [(lo, hi)]
+    while stack:
+        lo, hi = stack.pop()
+        xs = master.solve(goal, extra, lo, hi)
+        bound = None if xs is None else -sum(c * x for c, x in zip(goal, xs) if c)
+        pruned = xs is None or floor(bound) <= best
+        boxes.append((goal, tuple(lo), tuple(hi), best, pruned))
+        if pruned:
+            continue
+        if not master.reaches(xs[:k], xs[k]):
+            stack.append((lo, hi))
+            continue
+        split = next((i for i in range(k) if xs[i].denominator != 1), None)
+        if split is None:
+            require(bound.denominator == 1, "integral parameters give an integral bound")
+            best, lam = bound, tuple(xs[:k])
+            continue
+        x = xs[split]
+        up, down = list(lo), list(hi)
+        up[split], down[split] = ceil(x), floor(x)
+        stack.append((up, hi))
+        stack.append((lo, down))
+        y = [(2 * x + 1) // 2 for x in xs[:k]]
+        stack.append((y, y))
+    return best, lam
+
+
+def master_int_optimum(ev):
+    """`lp._int_optimum` without the corner-bound prune, on an instance
+    with integral data: (lam, value, boxes), ``boxes`` as `_master_branch`
+    logs them, one per master LP."""
+    k = ev.inst.k
+    master = _Master(ev)
+    boxes = []
+    lam = (Fraction(0),) * k
+    lo, hi = [0] * k, [ev.inst.u_R(i) for i in range(k)]
+    goal = (0,) * k + (-1,)
+    value, lam = _master_branch(master, goal, (), lo, hi, ev.sample(lam).value, lam, boxes)
+    value_pin = ((goal, -value),)
+    for i in range(k):
+        obj = (0,) * i + (1,) + (0,) * (k - i)
+        _, lam = _master_branch(master, obj, value_pin, lo, hi, -lam[i], lam, boxes)
+        lo[i] = hi[i] = lam[i]
+    return lam, value, boxes

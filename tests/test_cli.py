@@ -118,7 +118,58 @@ class TestSolve:
         assert first == second
 
 
+_HEAD = "p aemfp 2 1 0\nn 0 s\nn 1 t\n"
+_HEAD1 = "p aemfp 2 1 1\nn 0 s\nn 1 t\n"
+
+# Malformed files and the one stderr line each exits 2 with, recorded
+# before the parser and the validation checks were trimmed.
+MALFORMED = [
+    ("self-loop", _HEAD + "a 0 1 1 3\n",
+     "ValidationError: self-loop at node 'v1' rejected"),
+    ("endpoint-range", _HEAD + "a 0 0 9 3\n",
+     "ParseError: line 4: arc endpoint out of range"),
+    ("duplicate-arc", _HEAD.replace("1 0", "2 0", 1) + "a 0 0 1 3\na 0 0 1 4\n",
+     "ParseError: line 5: duplicate arc id 0"),
+    ("underscore-id", _HEAD + "a 1_000 0 1 3\n",
+     "ParseError: line 4: arc id '1_000' is not a nonnegative integer"),
+    ("superscript-id", _HEAD.replace("n 0", "n \u00b2") + "a 0 0 1 3\n",
+     "ParseError: line 2: node id '\u00b2' is not a nonnegative integer"),
+    ("minus-zero-id", _HEAD + "a 0 -0 1 3\n",
+     "ParseError: line 4: tail '-0' is not a nonnegative integer"),
+    ("negative-capacity", _HEAD + "a 0 0 1 -3\n",
+     "ValidationError: edge 0: negative capacity -3"),
+    ("poly1-decreasing", _HEAD1 + "a 0 0 1 4\nh 0 poly 1 5 -1 0\n",
+     "ValidationError: homologous set 0: deviation not monotone at x=0"),
+    ("poly1-half-slope", _HEAD1 + "a 0 0 1 4\nh 0 poly 1 0 1/2 0\n",
+     "ValidationError: homologous set 0: deviation below identity at x=4"),
+    ("poly0-constant", _HEAD1 + "a 0 0 1 4\nh 0 poly 0 3 0\n",
+     "ValidationError: homologous set 0: deviation below identity at x=4"),
+    ("poly1-below-at-0", _HEAD1 + "a 0 0 1 4\nh 0 poly 1 -1 1 0\n",
+     "ValidationError: homologous set 0: deviation below identity at x=0"),
+    ("poly1-decreasing-and-below", _HEAD1 + "a 0 0 1 4\nh 0 poly 1 -1 -1 0\n",
+     "ValidationError: homologous set 0: deviation not monotone at x=0"),
+]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "text, line", [m[1:] for m in MALFORMED], ids=[m[0] for m in MALFORMED]
+    )
+    def test_malformed_file_message(self, capsys, files, text, line):
+        write, _ = files
+        assert run(capsys, "solve", write("m.aemfp", text)) == (2, "", f"error {line}\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["c\tnote\n" + _HEAD + "a 0 0 1 3\n", _HEAD + "c\tnote\na 0 0 1 3\n"],
+        ids=["before-header", "after-header"],
+    )
+    def test_tab_after_c_is_a_comment(self, capsys, files, text):
+        write, _ = files
+        want = run(capsys, "solve", write("plain.aemfp", _HEAD + "a 0 0 1 3\n"))
+        assert want == (0, "value 3\nflow 0 3\ncut 0\ncutvalue 3\n", "")
+        assert run(capsys, "solve", write("c.aemfp", text)) == want
+
     def test_parse_error_is_2(self, capsys, files):
         write, _ = files
         rc, _, err = run(capsys, "solve", write("b.aemfp", "p aemfp 1\n"))

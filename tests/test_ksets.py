@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from math import floor
 
 import pytest
 from hypothesis import given, settings
@@ -456,11 +457,13 @@ class TestEngineWork:
     """The integer search's work on the gadgets, in F samples and master LP
     solves.  Both are machine-independent, so a change to the rows, the
     branching or the search order shows up here, not only as a change in
-    speed."""
+    speed.  The master LP solves of the search without the corner-bound
+    prune (`refint.master_int_optimum`) are pinned beside them."""
 
     @staticmethod
     def _work(monkeypatch, inst):
-        """The result, F samples and master LP solves of one integer solve."""
+        """The result, F samples and master LP solves of one integer solve,
+        and the master LP solves of the unpruned reference search."""
         evaluators, calls = [], []
 
         class Recording(FEvaluator):
@@ -479,25 +482,32 @@ class TestEngineWork:
         res = solve_integer_constant(inst)
         monkeypatch.undo()
         res.verify(inst)
-        return res, [ev.evaluations for ev in evaluators], len(calls)
+        ev = FEvaluator(inst)
+        _, _, boxes = refint.master_int_optimum(ev)
+        assert [ev.evaluations] == [e.evaluations for e in evaluators]
+        return res, [e.evaluations for e in evaluators], len(calls), len(boxes)
+
+    # kind, q, variant, F samples, master LP solves without and with the
+    # corner-bound prune; the test ids keep the first five.
+    WORK = [
+        ("x3c", 3, "yes", 5, 6, 5),
+        ("x3c", 3, "no", 1, 2, 1),
+        ("approx1", 3, "no", 2, 4, 2),
+        ("approx2", 3, "no", 2, 4, 2),
+        ("x3c", 6, "yes", 7, 9, 8),
+        ("x3c", 6, "no", 9, 13, 9),
+        ("approx1", 6, "no", 13, 22, 17),
+        ("approx2", 6, "no", 13, 22, 17),
+    ]
 
     @pytest.mark.parametrize(
-        "kind, q, variant, samples, solves",
-        [
-            ("x3c", 3, "yes", 5, 6),
-            ("x3c", 3, "no", 1, 2),
-            ("approx1", 3, "no", 2, 4),
-            ("approx2", 3, "no", 2, 4),
-            ("x3c", 6, "yes", 7, 9),
-            ("x3c", 6, "no", 9, 13),
-            ("approx1", 6, "no", 13, 22),
-            ("approx2", 6, "no", 13, 22),
-        ],
+        "kind, q, variant, samples, unpruned, solves",
+        [pytest.param(*w, id="-".join(map(str, w[:5]))) for w in WORK],
     )
-    def test_gadget_work(self, monkeypatch, kind, q, variant, samples, solves):
+    def test_gadget_work(self, monkeypatch, kind, q, variant, samples, unpruned, solves):
         inst, meta = _gadget(kind, q, variant)
-        res, evaluations, lps = self._work(monkeypatch, inst)
-        assert (evaluations, lps) == ([samples], solves)
+        res, evaluations, lps, ref_lps = self._work(monkeypatch, inst)
+        assert (evaluations, lps, ref_lps) == ([samples], solves, unpruned)
         if variant == "yes":
             assert res.opt_value == meta.expected_yes_value
         else:
@@ -509,7 +519,75 @@ class TestEngineWork:
         # Depth-first order without the nearest-point box walked it one
         # unit per node: about 460,000 F samples and three minutes.
         inst = generate_random(9, 15, 4, cap_max=10**6, seed=9283)
-        res, evaluations, lps = self._work(monkeypatch, inst)
+        res, evaluations, lps, ref_lps = self._work(monkeypatch, inst)
         assert res.lambda_star == (Q(154584), Q(0), Q(0), Q(154584))
         assert res.opt_value == solve_k_constant(inst).opt_value == 154584
-        assert (evaluations, lps) == ([6], 11)
+        assert (evaluations, lps, ref_lps) == ([6], 9, 11)
+
+
+class TestCornerPrune:
+    """Dropping a box whose corner bound cannot beat the incumbent, before
+    its master LP, changes nothing but the LP count: the pruned search and
+    the unpruned reference (`refint.master_int_optimum`) give the same
+    lam, value and sequence of F-sample points, and every box the pruned
+    search drops is one the reference's LP pruned."""
+
+    class Recording(FEvaluator):
+        """An evaluator that lists every point it is asked for, in order."""
+
+        def __init__(self, inst):
+            super().__init__(inst)
+            self.points = []
+
+        def sample(self, lam):
+            self.points.append(tuple(lam))
+            return super().sample(lam)
+
+    def _compare(self, monkeypatch, inst):
+        """Run both searches; returns how many boxes the pruned one drops."""
+        calls = []
+        inner = lp._simplex_min
+
+        def counting(c, A, b):
+            calls.append(None)
+            return inner(c, A, b)
+
+        ev, ref_ev = self.Recording(inst), self.Recording(inst)
+        with monkeypatch.context() as m:
+            m.setattr(lp, "_simplex_min", counting)
+            got = lp._int_optimum(ev)
+        lam, value, boxes = refint.master_int_optimum(ref_ev)
+        assert got == (lam, value)
+        assert ev.points == ref_ev.points
+        # Whether the reference's LP pruned each box its corner bound drops.
+        dropped = []
+        for goal, lo, hi, best, pruned in boxes:
+            if goal[inst.k]:
+                continue
+            corner = -sum(c * (lo[i] if c > 0 else hi[i]) for i, c in enumerate(goal) if c)
+            if floor(corner) <= best:
+                dropped.append(pruned)
+        assert all(dropped)
+        assert len(calls) == len(boxes) - len(dropped)
+        return len(dropped)
+
+    @pytest.mark.parametrize("kind", ["x3c", "approx1", "approx2"])
+    def test_gadgets(self, monkeypatch, kind):
+        for q in (3, 6):
+            for variant in ("yes", "no"):
+                inst, _ = _gadget(kind, q, variant)
+                self._compare(monkeypatch, inst)
+
+    def test_ridge(self, monkeypatch):
+        inst = generate_random(9, 15, 4, cap_max=10**6, seed=9283)
+        assert self._compare(monkeypatch, inst) == 2
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_random(self, monkeypatch, k):
+        dropped = 0
+        for c in (12, 10**6):
+            for seed in range(12):
+                n = 4 + seed % 7
+                inst = generate_random(n, 2 * n + seed % 5, k, cap_max=c, seed=seed)
+                dropped += self._compare(monkeypatch, inst)
+        assert dropped > 0

@@ -469,6 +469,37 @@ class TestDeviationFn:
         assert type(d(x)) is Q and type(d.derivative_at(x)) is Q
         assert d(int(c)) == d.poly.eval(Q(int(c)))
 
+    @given(
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        st.fractions(min_value=-2, max_value=3, max_denominator=4),
+        st.fractions(min_value=0, max_value=6, max_denominator=3),
+        st.fractions(min_value=0, max_value=6, max_denominator=3),
+    )
+    def test_line_validation_matches_the_general_check(self, c0, c1, a, b):
+        # Degree <= 1 shapes are checked on their endpoints through the
+        # (slope, intercept) pair; the general check tests the derivative
+        # and Delta(x) - x at the endpoints and interior extreme points.
+        assume((c0, c1) != (0, 0))
+        d = DeviationFn.polynomial((c0, c1))
+        lo, hi = min(a, b), max(a, b)
+        deriv = d.poly.derivative()
+        gap = d.poly - PolyValue((Q(0), Q(1)))
+        want = None
+        for what, where, f in (
+            ("not monotone", deriv, deriv),
+            ("below identity", gap.derivative(), gap),
+        ):
+            bad = [x for x in DeviationFn._extreme_points(where, lo, hi) if f.eval(x) < 0]
+            if bad:
+                want = f"deviation {what} at x={bad[0]}"
+                break
+        try:
+            d.validate_on(lo, hi)
+        except ValueError as exc:
+            assert str(exc) == want
+        else:
+            assert want is None
+
     def test_equality_and_hash(self):
         a = DeviationFn.constant_shift(1)
         b = DeviationFn.constant_shift(1)
