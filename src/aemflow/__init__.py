@@ -30,7 +30,7 @@ from .gadgets import (
     x3c_no_instance,
     x3c_yes_instance,
 )
-from .graph import Edge, FlowAssignment, Graph
+from .graph import Edge, Graph
 from .instance import (
     FEvaluator,
     HomologousSet,
@@ -54,7 +54,6 @@ __all__ = [
     "DeviationFn",
     "Edge",
     "FEvaluator",
-    "FlowAssignment",
     "GadgetMeta",
     "Graph",
     "HomologousSet",

@@ -39,7 +39,6 @@ from .gadgets import (
     x3c_no_instance,
     x3c_yes_instance,
 )
-from .graph import FlowAssignment
 from .instance import Instance, SolveResult
 from .ksets import solve_integer_constant, solve_k_constant
 from .oracles import DEFAULT_BUDGET, oracle_fractional, oracle_integer
@@ -94,15 +93,12 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     inst = parse_instance(_read(args.file))
-    values = parse_flow(_read(args.flowfile), inst.m)
-    g = inst.graph
-    flow = FlowAssignment(values, g.net_outflow(values, g.source))
-    problems = list(inst.violations(flow))
+    value, problems = inst.check_flow(parse_flow(_read(args.flowfile), inst.m))
     for p in problems:
         print(p)
     if problems:
         return 1
-    print(f"ok value {flow.flow_value}")
+    print(f"ok value {value}")
     return 0
 
 

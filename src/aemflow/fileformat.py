@@ -254,7 +254,7 @@ def write_result(res: SolveResult) -> str:
     for i, x in enumerate(res.lambda_star):
         lines.append(f"lambda {i} {x}")
     lines.append(f"value {res.opt_value}")
-    for e, f in enumerate(res.flow.values):
+    for e, f in enumerate(res.flow):
         lines.append(f"flow {e} {f}")
     side = " ".join(str(v) for v in sorted(res.certificate.s_side))
     lines.append(f"cut {side}")

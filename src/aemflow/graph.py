@@ -1,21 +1,19 @@
-"""Directed multigraph model with exact rational edge flows.
+"""Directed multigraph model: nodes, edges, source and sink.
 
 Nodes are dense integer ids with optional string names; edges are dense ids
 in insertion order.  Parallel edges are allowed (some constructions need
 them), self-loops are rejected because they can never carry s-t flow and
-would corrupt cut bookkeeping.
+would corrupt cut bookkeeping.  The graph holds no flows: a flow is a
+per-edge tuple of values, checked by `Instance.check_flow`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import ValidationError
 
-__all__ = ["Edge", "Graph", "FlowAssignment"]
+__all__ = ["Edge", "Graph"]
 
 
 class Edge(NamedTuple):
@@ -85,12 +83,6 @@ class Graph:
     def out_edges(self, v: int) -> list[int]:
         return self._out[v]
 
-    def net_outflow(self, values: Sequence[Fraction], v: int) -> Fraction:
-        """Flow leaving v minus flow entering it, under per-edge `values`."""
-        return sum((values[e] for e in self._out[v]), Fraction(0)) - sum(
-            (values[e] for e in self._in[v]), Fraction(0)
-        )
-
     def subdivide_edge(self, eid: int, count: int, name_hint: str = "split") -> list[int]:
         """Replace edge `eid` by a chain of `count` segments.
 
@@ -134,46 +126,3 @@ class Graph:
             if not 0 <= idx < self.n:
                 raise ValidationError("source/sink id out of range")
 
-
-@dataclass(frozen=True)
-class FlowAssignment:
-    """Per-edge flow values with the realized s-t value (net outflow at s)."""
-
-    values: tuple[Fraction, ...]
-    flow_value: Fraction
-
-    def violations(
-        self, graph: Graph, capacities: Sequence[Fraction]
-    ) -> Iterator[str]:
-        """Every capacity violation by edge id, then every conservation one.
-
-        Raises ValidationError when there is not one value per edge.  Net
-        outflows are summed in one pass, on integers: every flow times the
-        lcm of their denominators.
-        """
-        if len(self.values) != graph.m:
-            raise ValidationError("flow has wrong number of edges")
-        for e, f in enumerate(self.values):
-            if f < 0:
-                yield f"violation capacity edge {e} flow {f} below 0"
-            elif f > capacities[e]:
-                yield f"violation capacity edge {e} flow {f} above {capacities[e]}"
-        den = lcm(*(f.denominator for f in self.values))
-        net = [0] * graph.n
-        for e, f in zip(graph.edges, self.values):
-            x = f.numerator * (den // f.denominator)
-            net[e.tail] += x
-            net[e.head] -= x
-        for v, out in enumerate(net):
-            if out and v not in (graph.source, graph.sink):
-                yield f"violation conservation node {v} net {Fraction(out, den)}"
-
-    def validate(self, graph: Graph, capacities: Sequence[Fraction]) -> None:
-        """Raise ValidationError on the first conservation or bound violation."""
-        for problem in self.violations(graph, capacities):
-            raise ValidationError(problem)
-        net_s = graph.net_outflow(self.values, graph.source)
-        if net_s != self.flow_value:
-            raise ValidationError(
-                f"flow value {self.flow_value} does not match net outflow {net_s} at source"
-            )

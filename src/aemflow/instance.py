@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cuts import CutReport, SetCrossing
 from .errors import Infeasible, ValidationError, require
-from .graph import FlowAssignment, Graph
+from .graph import Graph
 from .maxflow import DeficiencyReport, Network, bounded_max_flow_int
 from .values import DeviationFn
 
@@ -159,27 +159,53 @@ class Instance:
         out = self.template.cuts[s_side] = CutReport(s_side, const, crossings)
         return out
 
-    def violations(self, flow: FlowAssignment) -> Iterator[str]:
-        """Every violation of `flow`: capacity, then conservation, then sets."""
-        yield from flow.violations(self.graph, self.capacities)
-        yield from self._set_violations(flow.values)
+    def check_flow(self, values: Sequence[Fraction]) -> tuple[Fraction, list[str]]:
+        """The source's net outflow under per-edge `values`, and every violation.
 
-    def _set_violations(self, values: Sequence[Fraction]) -> Iterator[str]:
-        for i, hs in enumerate(self.sets):
-            fmin = min(values[e] for e in hs.edges)
-            cap = hs.deviation(fmin)
-            for e in hs.edges:
-                if values[e] > cap:
-                    yield (
+        Violations come for capacity by edge, then for conservation by node,
+        then for the set rule by set, with Delta evaluated once per set at
+        the set minimum.  The check makes one pass on integers: every flow
+        and capacity times the lcm of their denominators.  Raises
+        ValidationError when there is not one value per edge.
+        """
+        g = self.graph
+        if len(values) != g.m:
+            raise ValidationError("flow has wrong number of edges")
+        t = self.template
+        d = lcm(t.den, *(f.denominator for f in values))
+        per_cap = d // t.den
+        flows = [f.numerator * (d // f.denominator) for f in values]
+        net = [0] * g.n
+        problems = []
+        for e, x, c in zip(g.edges, flows, t.caps):
+            if x < 0:
+                problems.append(
+                    f"violation capacity edge {e.id} flow {values[e.id]} below 0"
+                )
+            elif x > c * per_cap:
+                problems.append(
+                    f"violation capacity edge {e.id} flow {values[e.id]} "
+                    f"above {self.capacities[e.id]}"
+                )
+            net[e.tail] += x
+            net[e.head] -= x
+        for v, out in enumerate(net):
+            if out and v != g.source and v != g.sink:
+                problems.append(
+                    f"violation conservation node {v} net {Fraction(out, d)}"
+                )
+        for i, (edges, dev) in enumerate(t.sets):
+            fmin = Fraction(min(flows[e] for e in edges), d)
+            cap = dev(fmin)
+            # flow / d > cap, cleared of both denominators
+            top = cap.numerator * d
+            for e in edges:
+                if flows[e] * cap.denominator > top:
+                    problems.append(
                         f"violation homologous set {i} edge {e} flow {values[e]} "
                         f"above {cap} allowed by the set minimum {fmin}"
                     )
-
-    def check_flow(self, flow: FlowAssignment) -> None:
-        """Raise ValidationError on the first violation of `violations`."""
-        flow.validate(self.graph, self.capacities)
-        for problem in self._set_violations(flow.values):
-            raise ValidationError(problem)
+        return Fraction(net[g.source], d), problems
 
     def __eq__(self, other) -> bool:
         # Structural equality; node names are display labels and the file
@@ -352,21 +378,45 @@ class FEvaluator:
         s = self.sample(lam)
         require(s.feasible, "the solver's optimum is infeasible")
         flows = tuple(Fraction(f, s.scale) for f in s.flows)
-        return SolveResult(lam, s.value, FlowAssignment(flows, s.value), s.report)
+        return SolveResult(lam, s.value, flows, s.report)
 
 
 @dataclass(frozen=True)
 class SolveResult:
-    """An optimum: parameter vector, its flow, and the matching cut."""
+    """An optimum: parameter vector, its per-edge flow, and the matching cut."""
 
     lambda_star: tuple[Fraction, ...]
     opt_value: Fraction
-    flow: FlowAssignment
+    flow: tuple[Fraction, ...]
     certificate: CutReport
 
     def verify(self, inst: Instance) -> None:
-        inst.check_flow(self.flow)
-        if self.flow.flow_value != self.opt_value:
+        """Raise ValidationError unless the result certifies `opt_value`.
+
+        The flow must pass `Instance.check_flow` with value `opt_value`, and
+        every member of set i must carry between lam*_i and
+        Delta_i(lam*_i) (capacity is already checked).  The certificate's
+        s side must hold s and not t, and its capacity at lam* must be
+        `opt_value`.  An integer result's certificate prices the floored
+        instance it was solved on.  No solver is called.
+        """
+        value, problems = inst.check_flow(self.flow)
+        if problems:
+            raise ValidationError(problems[0])
+        if value != self.opt_value:
             raise ValidationError("flow value disagrees with reported optimum")
-        if self.certificate.capacity_at(self.lambda_star) != self.opt_value:
+        lam = inst.check_lambda(self.lambda_star)
+        for i, (hs, x) in enumerate(zip(inst.sets, lam)):
+            top = hs.deviation(x)
+            for e in hs.edges:
+                if not x <= self.flow[e] <= top:
+                    raise ValidationError(
+                        f"homologous set {i} edge {e} flow {self.flow[e]} "
+                        f"outside [lambda*, Delta(lambda*)] = [{x}, {top}]"
+                    )
+        side = self.certificate.s_side
+        g = inst.graph
+        if g.source not in side or g.sink in side:
+            raise ValidationError("certificate is not an s-t cut")
+        if self.certificate.capacity_at(lam) != self.opt_value:
             raise ValidationError("certificate capacity disagrees with optimum")

@@ -117,7 +117,7 @@ def test_c07_deviation_degeneration():
             g, caps, (af.HomologousSet(edges, DeviationFn.constant_shift(0)),)
         )
         rz = af.solve_k_constant(tight)
-        vals = [rz.flow.values[e] for e in edges]
+        vals = [rz.flow[e] for e in edges]
         assert max(vals) - min(vals) == 0, i
 
 

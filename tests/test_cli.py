@@ -250,7 +250,65 @@ class TestExitCodes:
         assert err == "error InternalError: the all-zero vector is always feasible\n"
 
 
+CHAIN3 = "p aemfp 3 3 0\nn 0 s\nn 2 t\na 0 0 1 2\na 1 1 2 2\na 2 0 2 3/2\n"
+# Delta(x) = 1 + 2x - x^2/8 on the members' common cap 4.
+POLY2 = "p aemfp 2 2 1\nn 0 s\nn 1 t\na 0 0 1 4\na 1 0 1 5\nh 0 poly 2 1 2 -1/8 0 1\n"
+# s -> 1 -> t through two shift-0 members, s -> 2 -> t through two
+# shift-1/2 members in series.
+TWO_SETS = (
+    "p aemfp 4 5 2\nn 0 s\nn 3 t\na 0 0 1 3\na 1 1 3 10\na 2 1 3 10\n"
+    "a 3 0 2 5/2\na 4 2 3 5/2\nh 0 const 0 1 2\nh 1 const 1/2 3 4\n"
+)
+
+# (instance, flow file, exit code, stdout, stderr) of `aemflow verify`,
+# recorded before the flow checks were folded into Instance.check_flow.
+VERIFY = [
+    ("ok-integral", PARALLEL, "flow 0 4\nflow 1 5\n", 0, "ok value 9\n", ""),
+    ("ok-fractional", PARALLEL, "f 1 1/2\nf 0 1/3\n", 0, "ok value 5/6\n", ""),
+    ("ok-fractional-chain", CHAIN3, "flow 0 1/3\nflow 1 1/3\nflow 2 3/2\n",
+     0, "ok value 11/6\n", ""),
+    ("capacity", CHAIN3, "flow 0 -1/2\nflow 1 -1/2\nflow 2 7/4\n", 1,
+     "violation capacity edge 0 flow -1/2 below 0\n"
+     "violation capacity edge 1 flow -1/2 below 0\n"
+     "violation capacity edge 2 flow 7/4 above 3/2\n", ""),
+    ("conservation", CHAIN3, "flow 0 1/3\nflow 1 1/2\nflow 2 0\n", 1,
+     "violation conservation node 1 net 1/6\n", ""),
+    ("set-const", PARALLEL, "flow 0 1/2\nflow 1 2\n", 1,
+     "violation homologous set 0 edge 1 flow 2 above 3/2 "
+     "allowed by the set minimum 1/2\n", ""),
+    ("set-poly2", POLY2, "flow 0 1\nflow 1 7/2\n", 1,
+     "violation homologous set 0 edge 1 flow 7/2 above 23/8 "
+     "allowed by the set minimum 1\n", ""),
+    ("set-poly2-at-the-bound", POLY2, "flow 0 1\nflow 1 23/8\n",
+     0, "ok value 31/8\n", ""),
+    ("several-in-order", TWO_SETS,
+     "flow 0 7/2\nflow 1 1\nflow 2 3\nflow 3 -1/3\nflow 4 1\n", 1,
+     "violation capacity edge 0 flow 7/2 above 3\n"
+     "violation capacity edge 3 flow -1/3 below 0\n"
+     "violation conservation node 1 net 1/2\n"
+     "violation conservation node 2 net 4/3\n"
+     "violation homologous set 0 edge 2 flow 3 above 1 "
+     "allowed by the set minimum 1\n"
+     "violation homologous set 1 edge 4 flow 1 above 1/6 "
+     "allowed by the set minimum -1/3\n", ""),
+    ("missing-edge", PARALLEL, "flow 0 4\n", 2, "",
+     "error ParseError: line 1: no flow record for edge(s) [1]\n"),
+    ("duplicate-edge", PARALLEL, "flow 0 4\nflow 0 4\nflow 1 5\n", 2, "",
+     "error ParseError: line 2: duplicate flow record for edge 0\n"),
+    ("edge-out-of-range", PARALLEL, "flow 0 4\nflow 1 5\nflow 2 0\n", 2, "",
+     "error ParseError: line 3: edge id 2 out of range 0..1\n"),
+]
+
+
 class TestVerify:
+    @pytest.mark.parametrize(
+        "inst, flow, rc, out, err", [v[1:] for v in VERIFY], ids=[v[0] for v in VERIFY]
+    )
+    def test_output_table(self, capsys, files, inst, flow, rc, out, err):
+        write, _ = files
+        got = run(capsys, "verify", write("i.aemfp", inst), write("f.flow", flow))
+        assert got == (rc, out, err)
+
     def test_accepts_solver_output(self, capsys, files):
         write, _ = files
         path = write("p.aemfp", PARALLEL)

@@ -54,7 +54,7 @@ class TestKnownOptima:
         res = solve_concave_single(inst)
         assert res.lambda_star == (Q(4),)
         assert res.opt_value == 8
-        assert set(res.flow.values) == {Q(4)}
+        assert set(res.flow) == {Q(4)}
 
     def test_interior_peak(self):
         inst = circulation([6, 6, 6], DeviationFn.affine(2, 0))

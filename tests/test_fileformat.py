@@ -205,7 +205,7 @@ class TestFlowRecords:
         inst = two_parallel()
         res = af.solve_k_constant(inst)
         values = parse_flow(write_result(res), inst.m)
-        assert values == res.flow.values
+        assert values == res.flow
 
     def test_plain_f_records(self):
         assert parse_flow("f 0 1/2\nf 1 3\n", 2) == (Q(1, 2), Q(3))

@@ -7,10 +7,11 @@ from fractions import Fraction as Q
 import pytest
 
 from aemflow.errors import Infeasible, InternalError, ValidationError
-from aemflow.graph import FlowAssignment, Graph
+from aemflow.graph import Graph
 from aemflow.instance import (
     FEvaluator,
     Instance,
+    SolveResult,
     make_instance,
 )
 from aemflow.maxflow import Network
@@ -235,14 +236,14 @@ class TestFEvaluator:
         ev = FEvaluator(inst)
         s = ev.sample((Q(4),))
         assert all(isinstance(f, int) for f in s.flows)
-        flow = FlowAssignment(tuple(Q(f, s.scale) for f in s.flows), s.value)
-        inst.check_flow(flow)
+        flow = tuple(Q(f, s.scale) for f in s.flows)
+        assert inst.check_flow(flow) == (s.value, [])
 
     def test_result_at_a_feasible_point(self):
         inst = bottleneck()
         res = FEvaluator(inst).result((Q(1),))
         assert res.lambda_star == (1,)
-        assert res.opt_value == res.flow.flow_value == 2
+        assert res.opt_value == inst.check_flow(res.flow)[0] == 2
         res.verify(inst)
 
     def test_result_at_an_infeasible_point_is_internal(self):
@@ -255,33 +256,37 @@ class TestCheckFlow:
     def test_homologous_violation_named(self):
         inst = two_parallel(c=1)
         # spread 4 vs 9 exceeds shift 1
-        bad = FlowAssignment((Q(4), Q(9)), Q(13))
-        with pytest.raises(ValidationError, match="homologous set 0"):
-            inst.check_flow(bad)
+        value, problems = inst.check_flow((Q(4), Q(9)))
+        assert value == 13
+        assert problems == [
+            "violation homologous set 0 edge 1 flow 9 above 5 "
+            "allowed by the set minimum 4"
+        ]
 
     def test_good_flow_accepted(self):
         inst = two_parallel(c=1)
-        inst.check_flow(FlowAssignment((Q(4), Q(5)), Q(9)))
+        assert inst.check_flow((Q(4), Q(5))) == (9, [])
 
     def test_violations_in_order(self):
         inst = bottleneck()
         # Edge 0 carries 4 over its cap 3, node v sends out 1 more than it
         # takes in, and the set spread 1 vs 4 exceeds shift 0.
-        flow = FlowAssignment((Q(4), Q(1), Q(4)), Q(4))
+        flow = (Q(4), Q(1), Q(4))
         first = "violation capacity edge 0 flow 4 above 3"
-        assert list(inst.violations(flow)) == [
+        assert inst.check_flow(flow) == (4, [
             first,
             "violation conservation node 1 net 1",
             "violation homologous set 0 edge 2 flow 4 above 1 "
             "allowed by the set minimum 1",
-        ]
+        ])
+        res = SolveResult((Q(1),), Q(4), flow, inst.cut_report(frozenset({0})))
         with pytest.raises(ValidationError) as exc:
-            inst.check_flow(flow)
+            res.verify(inst)
         assert str(exc.value) == first
 
     def test_negative_flow_is_below_zero(self):
-        flow = FlowAssignment((Q(-1, 2), Q(0), Q(0)), Q(-1, 2))
-        assert list(bottleneck().violations(flow)) == [
+        flow = (Q(-1, 2), Q(0), Q(0))
+        assert bottleneck().check_flow(flow)[1] == [
             "violation capacity edge 0 flow -1/2 below 0",
             "violation conservation node 1 net 1/2",
         ]
@@ -289,11 +294,12 @@ class TestCheckFlow:
     @pytest.mark.parametrize("values", [(Q(1), Q(1)), (Q(1),) * 4])
     def test_wrong_edge_count_raises(self, values):
         # Missing edges must not count as zero flow, nor extra ones be dropped.
-        flow = FlowAssignment(values, Q(1))
+        inst = bottleneck()
         with pytest.raises(ValidationError, match="flow has wrong number of edges"):
-            list(bottleneck().violations(flow))
+            inst.check_flow(values)
+        res = SolveResult((Q(1),), Q(1), values, inst.cut_report(frozenset({0})))
         with pytest.raises(ValidationError, match="flow has wrong number of edges"):
-            bottleneck().check_flow(flow)
+            res.verify(inst)
 
 
 def _mixed_instance(seed):

@@ -197,7 +197,7 @@ class TestSolveInteger:
         res = solve_integer_constant(inst)
         assert res.lambda_star == (Q(4),)
         assert res.opt_value == 9
-        assert res.flow.values == (Q(4), Q(5))
+        assert res.flow == (Q(4), Q(5))
         res.verify(inst)
 
     def test_no_sets(self):

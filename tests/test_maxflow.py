@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 import random
 
 from aemflow.errors import Infeasible, ValidationError
-from aemflow.graph import FlowAssignment, Graph
+from aemflow.graph import Graph
+from aemflow.instance import SolveResult, make_instance
 from aemflow.maxflow import DeficiencyReport, Network, bounded_max_flow_int, deficiency_int
 from intflow import bounded_flow, deficiency, ref_bounded_flow, ref_deficiency, scaled
 
@@ -175,7 +176,7 @@ class TestBoundedMaxFlow:
         g = build(2, [(0, 1), (1, 0)])
         arcs = graph_arcs(g, (Q(0), Q(1)), (Q(5), Q(3)))
         value, flows, side = bounded_flow(g.n, arcs)
-        FlowAssignment(flows, value).validate(g, (Q(5), Q(3)))
+        assert make_instance(g, (Q(5), Q(3)), []).check_flow(flows) == (value, [])
         assert flows[1] >= 1
         assert value == cut_capacity(arcs, side)
 
@@ -186,7 +187,7 @@ class TestMaxFlowBounded:
         caps = [Q(c) for c in (3, 2, 2, 4, 5)]
         arcs = graph_arcs(g, [0] * g.m, caps)
         value, flows, side = bounded_flow(g.n, arcs)
-        FlowAssignment(flows, value).validate(g, caps)
+        assert make_instance(g, caps, []).check_flow(flows) == (value, [])
         assert value == 5
         assert 0 in side and 1 not in side
         assert cut_capacity(arcs, side) == 5
@@ -194,18 +195,20 @@ class TestMaxFlowBounded:
     def test_flow_value_is_net_source_outflow(self):
         g = build(2, [(0, 1), (1, 0)])
         value, flows, _ = bounded_flow(g.n, graph_arcs(g, [0, 0], [4, 9]))
-        assert value == g.net_outflow(flows, g.source) == 4
+        assert make_instance(g, [4, 9], []).check_flow(flows) == (value, [])
+        assert value == 4
 
     def test_validate_catches_bad_conservation(self):
         g = build(3, [(0, 2), (2, 1)])
-        bad = FlowAssignment((Q(3), Q(2)), Q(3))
-        with pytest.raises(ValidationError):
-            bad.validate(g, (Q(5), Q(5)))
+        inst = make_instance(g, (Q(5), Q(5)), [])
+        assert inst.check_flow((Q(3), Q(2))) == (3, ["violation conservation node 2 net -1"])
 
     def test_validate_catches_bad_value(self):
         g = build(2, [(0, 1)])
-        with pytest.raises(ValidationError):
-            FlowAssignment((Q(3),), Q(4)).validate(g, (Q(5),))
+        inst = make_instance(g, (Q(5),), [])
+        res = SolveResult((), Q(4), (Q(3),), inst.cut_report(frozenset({0})))
+        with pytest.raises(ValidationError, match="flow value disagrees"):
+            res.verify(inst)
 
 
 caps = st.fractions(min_value=0, max_value=8, max_denominator=4)
@@ -264,7 +267,7 @@ class TestFlowProperties:
     @given(random_network(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_violations_match_the_check_on_fractions(self, net, data):
-        # `violations` sums net outflows on integers; the same check on
+        # `check_flow` sums net outflows on integers; the same check on
         # Fractions must report the same lines.
         n, arcs = net
         g = build(n, [(u, v) for u, v, _ in arcs])
@@ -279,11 +282,14 @@ class TestFlowProperties:
                 want.append(f"violation capacity edge {e} flow {f} below 0")
             elif f > caps[e]:
                 want.append(f"violation capacity edge {e} flow {f} above {caps[e]}")
+        net = [Q(0)] * n
+        for e, f in zip(g.edges, values):
+            net[e.tail] += f
+            net[e.head] -= f
         for v in range(2, n):
-            net_v = g.net_outflow(values, v)
-            if net_v != 0:
-                want.append(f"violation conservation node {v} net {net_v}")
-        assert list(FlowAssignment(values, Q(0)).violations(g, caps)) == want
+            if net[v] != 0:
+                want.append(f"violation conservation node {v} net {net[v]}")
+        assert make_instance(g, caps, []).check_flow(values) == (net[0], want)
 
     @given(random_network())
     @settings(max_examples=30, deadline=None)

@@ -170,7 +170,7 @@ class TestAgainstSolvers:
         # One set only: there rounding the fractional optimum is exact.
         res = solve_integer_constant(inst)
         res.verify(inst)
-        assert all(f.denominator == 1 for f in res.flow.values)
+        assert all(f.denominator == 1 for f in res.flow)
         assert res.opt_value == oracle_integer(inst)
 
     @given(small_instances())

@@ -331,7 +331,7 @@ class TestSolve:
         b = solve_k_constant(two_parallel())
         assert a.lambda_star == b.lambda_star
         assert a.opt_value == b.opt_value
-        assert a.flow.values == b.flow.values
+        assert a.flow == b.flow
 
 
 class TestProfile:
