@@ -71,7 +71,7 @@ def _dispatch_solve(inst: Instance, integer: bool, method: str) -> SolveResult:
     if method == "concave":
         return solve_concave_single(inst)
     if all(hs.deviation.is_constant_shift for hs in inst.sets):
-        return solve_k_constant(inst, method)
+        return solve_k_constant(inst, "master" if method == "auto" else method)
     if method == "parametric":
         raise UnsupportedDeviation(
             "the parametric solver supports constant-shift deviations only"

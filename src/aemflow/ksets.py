@@ -23,11 +23,13 @@ the minimal spacing to the simplest rational inside it, that rational is
 the optimum exactly.  A final pair of verification probes checks the
 one-sided optimality conditions.
 
-Three or more sets go to the exact simplex in ``lp``; nested search
-refuses them.
+Under ``solve_k_constant``'s default method three or more sets go to
+the exact simplex in ``lp``; nested search refuses them.  The
+``master`` method, which ``aemflow solve`` runs, finds the optimum at
+every k on the cutting-plane master in ``lp`` instead.
 
-Integer optima take no fractional solve: branch-and-bound on the
-cutting-plane master in ``lp`` finds them at every k.
+Integer optima take no fractional solve: branch-and-bound on the same
+master finds them at every k.
 """
 
 from __future__ import annotations
@@ -134,24 +136,33 @@ def _pin_solve(inst: Instance, ev: FEvaluator) -> tuple[tuple[Fraction, ...], Fr
 def solve_k_constant(inst: Instance, method: str = "auto") -> SolveResult:
     """Lexicographically smallest optimum over all constant-shift sets.
 
-    Up to two sets both methods run the slice solver or nested search.
-    Beyond two, ``auto`` runs exact linear programming and ``parametric``
-    raises `UnsupportedDeviation`.
+    ``master`` runs the cutting-plane master in ``lp`` at every k; it is
+    what ``aemflow solve`` runs by default.  Up to two sets ``auto`` and
+    ``parametric`` run the slice solver or nested search.  Beyond two,
+    ``auto`` runs exact linear programming and ``parametric`` raises
+    `UnsupportedDeviation`.  The library default stays ``auto`` while the
+    benchmark self-check (``perfbench/selfcheck.py``) pins that path's
+    max-flow and pivot counts; once they are re-pinned on the master,
+    ``master`` becomes the default and the nested search goes.
     """
-    if method not in ("auto", "parametric"):
+    if method not in ("auto", "parametric", "master"):
         raise ValidationError(f"unknown method {method!r}")
     _require_shifts(inst)
     if method == "parametric" and inst.k >= 3:
         raise UnsupportedDeviation(
             "nested search handles at most two homologous sets; "
-            "--method auto uses the simplex"
+            "--method auto uses the master"
         )
     ev = FEvaluator(inst)
     if inst.k == 0:
         return ev.result(())
-    if inst.k == 1:
+    if method == "master":
+        from .lp import _frac_optimum
+
+        lam, value = _frac_optimum(ev)
+    elif inst.k == 1:
         return ev.result((Slice(inst, 0, {}, ev).solve().x,))
-    if inst.k == 2:
+    elif inst.k == 2:
         lam, value = _pin_solve(inst, ev)
     else:
         from .lp import _lp_optimum

@@ -55,6 +55,15 @@ needed: a sample below the master point adds a row that the point
 violates, so a new one; rows are fixed by a cut and its members' clamp
 states, so they are finitely many, and a repeated one raises
 `InternalError`.
+
+The master also serves the fractional solve that ``aemflow solve`` runs
+(`_frac_optimum`): the same passes with no branching, each re-solving its
+master LP until F meets the point.  The value rows bound F from above and
+the Hoffman rows cut off only infeasible points, so the first point that
+F meets is an optimum of its pass: the value pass gives the value, and
+each later pass the smallest lam_i among the optima with the earlier
+parameters pinned.  It needs no lattice bound, probe window or tolerance,
+and it ends for the reason above.
 """
 
 from __future__ import annotations
@@ -404,6 +413,32 @@ def _int_optimum(ev: FEvaluator) -> tuple[tuple[Fraction, ...], Fraction]:
         _, lam = _branch(master, obj, value_pin, lo, hi, -lam[i], lam)
         lo[i] = hi[i] = lam[i]
     return lam, value
+
+
+def _frac_optimum(ev: FEvaluator) -> tuple[tuple[Fraction, ...], Fraction]:
+    """Lexicographically smallest optimum and its value, on an instance
+    with constant-shift or affine nondecreasing deviations: the passes of
+    `_int_optimum` with no branching, each master point sampled until F
+    meets it."""
+    k = ev.inst.k
+    master = _Master(ev)
+    lo, hi = [_ZERO] * k, [ev.inst.u_R(i) for i in range(k)]
+
+    def settle(goal, extra, need, why):
+        while True:
+            xs = master.solve(goal, extra, lo, hi)
+            require(xs is not None, why)
+            if master.reaches(xs[:k], xs[k] if need is None else need):
+                return xs
+
+    goal = (0,) * k + (-1,)
+    value = settle(goal, (), None, "the all-zero vector is always feasible")[k]
+    value_pin = ((goal, -value),)
+    for i in range(k):
+        obj = (0,) * i + (1,) + (0,) * (k - i)
+        xs = settle(obj, value_pin, value, "the value pin cannot cut off the optimum")
+        lo[i] = hi[i] = xs[i]
+    return tuple(lo), value
 
 
 def solve_lp_constant(inst: Instance) -> SolveResult:

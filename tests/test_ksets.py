@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import refint
-from aemflow import instance, ksets, lp
+from aemflow import instance, ksets, lp, maxflow
 from aemflow.errors import UnsupportedDeviation, ValidationError
 from aemflow.fileformat import parse_instance, write_instance, write_result
 from aemflow.gadgets import (
@@ -21,6 +21,7 @@ from aemflow.ksets import solve_integer_constant, solve_k_constant
 from aemflow.oracles import oracle_integer
 from aemflow.randgen import generate_random
 from aemflow.values import DeviationFn
+from test_acceptance import mixed_family
 
 shift = DeviationFn.constant_shift
 
@@ -523,6 +524,70 @@ class TestEngineWork:
         assert res.lambda_star == (Q(154584), Q(0), Q(0), Q(154584))
         assert res.opt_value == solve_k_constant(inst).opt_value == 154584
         assert (evaluations, lps, ref_lps) == ([6], 9, 11)
+
+
+class TestMasterWork:
+    """The fractional master's work, `solve_k_constant(inst, "master")`,
+    which `aemflow solve` runs: F samples, master LP solves, integer max
+    flows (`_Net.max_flow`) and simplex pivots, all machine-independent.
+    The library default `solve_k_constant(inst)` makes 67/433/9457 max
+    flows at k = 0/1/2 on the same corpus and 167/530 pivots on the x3c
+    gadgets; the benchmark self-check pins those."""
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        """A reader of the work done since it was last read."""
+        evaluators, counts = [], {"lps": 0, "flows": 0, "pivots": 0}
+
+        class Recording(FEvaluator):
+            def __init__(self, inst):
+                super().__init__(inst)
+                evaluators.append(self)
+
+        def counting(name, inner):
+            def call(*args):
+                counts[name] += 1
+                return inner(*args)
+
+            return call
+
+        monkeypatch.setattr(ksets, "FEvaluator", Recording)
+        monkeypatch.setattr(lp, "_simplex_min", counting("lps", lp._simplex_min))
+        monkeypatch.setattr(lp, "_pivot", counting("pivots", lp._pivot))
+        monkeypatch.setattr(maxflow._Net, "max_flow", counting("flows", maxflow._Net.max_flow))
+
+        def read():
+            out = (sum(e.evaluations for e in evaluators), *counts.values())
+            evaluators.clear()
+            counts.update(dict.fromkeys(counts, 0))
+            return out
+
+        return read
+
+    def test_mixed_family(self, work):
+        # k: instances, F samples, master LP solves, max flows, pivots
+        got = {}
+        for i in range(200):
+            inst = mixed_family(i)
+            solve_k_constant(inst, "master").verify(inst)
+            row = got.setdefault(inst.k, [0] * 5)
+            for j, c in enumerate((1, *work())):
+                row[j] += c
+        assert got == {
+            0: [67, 67, 0, 67, 0],
+            1: [67, 103, 155, 128, 314],
+            2: [66, 151, 246, 212, 698],
+        }
+
+    @pytest.mark.parametrize(
+        "q, samples, lps, flows, pivots, value", [(3, 5, 6, 8, 25, 7), (6, 7, 9, 12, 62, 14)]
+    )
+    def test_x3c_gadget(self, work, q, samples, lps, flows, pivots, value):
+        inst, meta = generate_x3c_gadget(x3c_yes_instance(q))
+        res = solve_k_constant(inst, "master")
+        assert work() == (samples, lps, flows, pivots)
+        res.verify(inst)
+        assert res.opt_value == value == meta.expected_yes_value
 
 
 class TestCornerPrune:

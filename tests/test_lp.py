@@ -8,9 +8,14 @@ from hypothesis import strategies as st
 import reflp
 from aemflow import lp
 from aemflow.errors import InternalError, UnsupportedDeviation
-from aemflow.gadgets import generate_x3c_gadget, x3c_yes_instance
+from aemflow.gadgets import (
+    generate_approx_gadget,
+    generate_x3c_gadget,
+    x3c_no_instance,
+    x3c_yes_instance,
+)
 from aemflow.graph import Graph
-from aemflow.instance import make_instance
+from aemflow.instance import FEvaluator, make_instance
 from aemflow.ksets import solve_k_constant
 from aemflow.lp import solve_lp_constant
 from aemflow.randgen import generate_random
@@ -153,6 +158,94 @@ class TestCrossSolver:
         for inst, a in zip(insts, expected):
             b = solve_k_constant(inst, "parametric")
             assert (b.lambda_star, b.opt_value) == (a.lambda_star, a.opt_value)
+
+
+small_fractions = st.builds(Q, st.integers(0, 8), st.integers(1, 3))
+
+
+@st.composite
+def master_instances(draw, affine):
+    """k = 1-4 sets on a random network, with fractional shifts and, when
+    ``affine``, some affine sets of slope at least 1."""
+    n = draw(st.integers(3, 8))
+    k = draw(st.integers(1, 4))
+    m = draw(st.integers(4, 3 * n))
+    cap_max = draw(st.sampled_from([6, 12, 10**6]))
+    base = generate_random(n, m, k, cap_max=cap_max, seed=draw(st.integers(0, 10**6)))
+    scale = draw(st.sampled_from([Q(1), Q(1, 2), Q(5, 3)]))
+    sets = []
+    for hs in base.sets:
+        if affine and draw(st.booleans()):
+            dev = DeviationFn.affine(1 + draw(small_fractions), draw(small_fractions))
+        else:
+            dev = shift(draw(small_fractions))
+        sets.append((hs.edges, dev))
+    return make_instance(base.graph, [c * scale for c in base.capacities], sets)
+
+
+def answer(res):
+    """What every fractional solver must agree on: lam*, value, flow and
+    the certificate's s side."""
+    return res.lambda_star, res.opt_value, res.flow, res.certificate.s_side
+
+
+def master_result(inst):
+    """The master's answer: through `solve_k_constant` on constant shifts,
+    and from `lp._frac_optimum` directly on affine sets, which the CLI
+    still refuses at k >= 2."""
+    if all(hs.deviation.is_constant_shift for hs in inst.sets):
+        res = solve_k_constant(inst, "master")
+    else:
+        ev = FEvaluator(inst)
+        lam, value = lp._frac_optimum(ev)
+        res = ev.result(lam)
+        assert res.opt_value == value
+    res.verify(inst)
+    return res
+
+
+class TestFracOptimum:
+    """The master's fractional optimum equals the simplex's, and nested
+    search's up to two constant-shift sets.  The example budget comes from
+    the Hypothesis profile (`tests/conftest.py`)."""
+
+    @given(master_instances(affine=False))
+    @settings(deadline=None)
+    def test_shifts(self, inst):
+        got = master_result(inst)
+        assert answer(got) == answer(solve_lp_constant(inst))
+        if inst.k <= 2:
+            assert answer(got) == answer(solve_k_constant(inst, "parametric"))
+
+    @given(master_instances(affine=True))
+    @settings(deadline=None)
+    def test_affine(self, inst):
+        assert answer(master_result(inst)) == answer(solve_lp_constant(inst))
+
+    # The simplex takes 1-3.5 s on each q = 6 approximation gadget, so q = 6
+    # keeps one of each chain length and deviation kind.
+    GADGETS = [
+        *((kind, 3, variant, dev) for kind in ("approx1", "approx2")
+          for variant in ("yes", "no") for dev in ("shift", "affine")),
+        ("approx1", 6, "no", "shift"),
+        ("approx2", 6, "yes", "shift"),
+        ("approx1", 6, "yes", "affine"),
+        *(("x3c", q, variant, "shift") for q in (3, 6) for variant in ("yes", "no")),
+    ]
+
+    @pytest.mark.parametrize("kind, q, variant, dev", GADGETS)
+    def test_gadget(self, kind, q, variant, dev):
+        x3c = x3c_yes_instance(q) if variant == "yes" else x3c_no_instance(q)
+        if kind == "x3c":
+            inst, meta = generate_x3c_gadget(x3c)
+        else:
+            inst, meta = generate_approx_gadget(x3c, int(kind[-1]), deviation_kind=dev)
+        got = master_result(inst)
+        assert answer(got) == answer(solve_lp_constant(inst))
+        if dev == "shift" and inst.k <= 2:
+            assert answer(got) == answer(solve_k_constant(inst, "parametric"))
+        if variant == "yes" and dev == "shift":
+            assert got.opt_value == meta.expected_yes_value
 
 
 @pytest.fixture
